@@ -52,6 +52,7 @@ _SOLVE_COUNTERS = (
     "p2_bw_bound_rows",
     "p2_bw_closed_form",
     "p2_bisection_fallbacks",
+    "p2_bisection_fills",
 )
 
 

@@ -278,7 +278,7 @@ def _cmd_bench_matrix(args: argparse.Namespace) -> dict | None:
 def _cmd_bench_profile(args: argparse.Namespace) -> dict | None:
     """``repro bench profile <leg>`` — run one leg under cProfile.
 
-    Emits ``PROFILE_<leg>.txt`` (deterministic top-N cumulative table,
+    Emits ``PROFILE_<leg>.txt`` (deterministic top-N self-time table,
     repo-relative paths) next to the leg's ``BENCH_*.json`` so hot-spot
     questions are answerable from CI artifacts.
     """
@@ -550,7 +550,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     pb_profile.add_argument("--path", type=str, default=argparse.SUPPRESS)
     pb_profile.add_argument(
-        "--top", type=int, default=30, help="rows in the cumulative table"
+        "--top", type=int, default=30, help="rows in the self-time table"
     )
     pb_profile.add_argument(
         "--out", type=str, default=None, help="output directory for the table"

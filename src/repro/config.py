@@ -51,16 +51,6 @@ BATCHED_TIES_ENV = "REPRO_BATCHED_TIES"
 #: uses to gate cost drift — so like the switches above it does not warn.
 BW_CLOSED_FORM_ENV = "REPRO_BW_CLOSED_FORM"
 
-#: Supported override for the legacy bisection depth (the bandwidth-bound
-#: A/B reference in :mod:`repro.optim.waterfill` and the capped-block
-#: projection). Precedence: explicit argument > ``RuntimeConfig`` field >
-#: env > :data:`DEFAULT_BISECTION_ITERS`.
-BISECTION_ITERS_ENV = "REPRO_BISECTION_ITERS"
-
-#: Historical bisection depth: 26 iterations bracket the residual to
-#: ``~2^-26`` relative accuracy.
-DEFAULT_BISECTION_ITERS = 26
-
 #: Supported opt-in switch for the quantized ``P1`` memo key (see
 #: :func:`repro.perf.solvecache.p1_quantized_digest`). Unset or ``0``
 #: keeps the byte-exact digest; any other value enables quantization.
@@ -180,10 +170,6 @@ class RuntimeConfig:
         closed-form parametric path (default on) or by the legacy
         bisection reference. ``REPRO_BW_CLOSED_FORM=0`` is the supported
         environment override; CI uses it for cost-drift A/B runs.
-    bisection_iters:
-        Depth of the legacy residual bisection (the bandwidth-bound A/B
-        reference and the capped-block projection fallback; default 26).
-        ``REPRO_BISECTION_ITERS`` is the environment override.
     serve_rps:
         Open-loop arrival rate for the serve runtime (requests/second;
         default 200). ``REPRO_SERVE_RPS`` is the environment override.
@@ -220,7 +206,6 @@ class RuntimeConfig:
     batched_ties: bool | None = None
     quantized_memo: bool | None = None
     bw_closed_form: bool | None = None
-    bisection_iters: int | None = None
     serve_rps: float | None = None
     serve_admission: str | None = None
     serve_queue_depth: int | None = None
@@ -239,10 +224,6 @@ class RuntimeConfig:
             raise ConfigurationError(
                 "caching_backend must be flow, lp, or lp-simplex; "
                 f"got {self.caching_backend!r}"
-            )
-        if self.bisection_iters is not None and self.bisection_iters < 1:
-            raise ConfigurationError(
-                f"bisection_iters must be >= 1, got {self.bisection_iters}"
             )
         if self.serve_rps is not None and not self.serve_rps > 0:
             raise ConfigurationError(
@@ -337,32 +318,6 @@ def resolved_bw_closed_form(
     if config is not None and config.bw_closed_form is not None:
         return config.bw_closed_form
     return os.environ.get(BW_CLOSED_FORM_ENV, "") != "0"
-
-
-def resolved_bisection_iters(
-    config: RuntimeConfig | None, arg: int | None = None
-) -> int:
-    """Legacy bisection depth: arg, else config, else env, else 26."""
-    if arg is not None:
-        if arg < 1:
-            raise ConfigurationError(f"bisection iters must be >= 1, got {arg}")
-        return int(arg)
-    if config is not None and config.bisection_iters is not None:
-        return config.bisection_iters
-    raw = os.environ.get(BISECTION_ITERS_ENV)
-    if raw:
-        try:
-            env = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{BISECTION_ITERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if env < 1:
-            raise ConfigurationError(
-                f"{BISECTION_ITERS_ENV} must be >= 1, got {env}"
-            )
-        return env
-    return DEFAULT_BISECTION_ITERS
 
 
 def _serve_env_float(name: str) -> float | None:

@@ -25,9 +25,8 @@ rows and as the A/B reference (``closed_form=False``). Both layouts are
 bit-identical by construction, and results agree with the historical
 all-bisection solver to the documented ``<= 1e-9`` objective envelope
 (the closed form is exact where the bisection was a ``2^-26``-bracketed
-approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM`` /
-``REPRO_BISECTION_ITERS``) selects the path and the reference depth;
-the resolution happens once in :func:`solve_p2` /
+approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM``)
+selects the path; the resolution happens once in :func:`solve_p2` /
 :func:`solve_y_given_x` and is threaded through every kernel and
 projection call below. The general case (``omega-hat > 0`` or
 non-quadratic costs) falls back to FISTA over the box-plus-halfspace
@@ -41,19 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import (
-    RuntimeConfig,
-    resolved_batched,
-    resolved_bisection_iters,
-    resolved_bw_closed_form,
-)
+from repro.config import RuntimeConfig, resolved_batched, resolved_bw_closed_form
 from repro.core.problem import JointProblem
 from repro.exceptions import DimensionMismatchError
 from repro.network.costs import QuadraticOperatingCost
 from repro.optim.budget import SolveBudget
 from repro.optim.fista import minimize_fista
 from repro.optim.projection import halfspace_theta_exact
-from repro.optim.waterfill import waterfill_batch
+from repro.optim.waterfill import BISECTION_ITERS, waterfill_batch
 from repro.types import FloatArray, IntArray
 
 
@@ -98,21 +92,15 @@ def solve_p2(
     fallback stops early once it is exhausted and returns its best feasible
     iterate. The closed-form fast path ignores it — one pass is exact.
     ``config`` selects the batched solve core (default on; both paths
-    return bit-identical solutions), the bandwidth-bound solve
-    (``bw_closed_form``, default on) and the bisection reference depth
-    (``bisection_iters``).
+    return bit-identical solutions) and the bandwidth-bound solve
+    (``bw_closed_form``, default on).
     """
     if mu.shape != problem.y_shape:
         raise DimensionMismatchError(f"mu shape {mu.shape} != {problem.y_shape}")
     closed_form = resolved_bw_closed_form(config)
-    bisection_iters = resolved_bisection_iters(config)
     if _uses_fast_path(problem):
         return _solve_p2_fast(
-            problem,
-            mu,
-            batched=resolved_batched(config),
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
+            problem, mu, batched=resolved_batched(config), closed_form=closed_form
         )
     return _solve_p2_fista(
         problem,
@@ -123,7 +111,6 @@ def solve_p2(
         budget=budget,
         batched=resolved_batched(config),
         closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
 
@@ -148,7 +135,6 @@ def solve_y_given_x(
         raise DimensionMismatchError(f"x shape {x.shape} != {problem.x_shape}")
     zero_mu = np.zeros(problem.y_shape)
     closed_form = resolved_bw_closed_form(config)
-    bisection_iters = resolved_bisection_iters(config)
     if _uses_fast_path(problem):
         return _solve_p2_fast(
             problem,
@@ -156,7 +142,6 @@ def solve_y_given_x(
             x_caps=x,
             batched=resolved_batched(config),
             closed_form=closed_form,
-            bisection_iters=bisection_iters,
         )
     return _solve_p2_fista(
         problem,
@@ -168,7 +153,6 @@ def solve_y_given_x(
         budget=budget,
         batched=resolved_batched(config),
         closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
 
@@ -196,7 +180,6 @@ def _solve_p2_fast(
     x_caps: FloatArray | None = None,
     batched: bool = False,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> LoadBalancingSolution:
     """Exact solver for quadratic BS cost with ``omega-hat = 0``.
 
@@ -206,16 +189,12 @@ def _solve_p2_fast(
     all ``N x T`` (SBS, slot) rows into a single call. The kernel is
     padding- and stacking-invariant, so both produce bit-identical
     solutions — ``batched`` selects granularity, not semantics.
-    ``closed_form`` / ``bisection_iters`` are forwarded to the kernel
-    verbatim (``None`` re-resolves from the environment there).
+    ``closed_form`` is forwarded to the kernel verbatim (``None``
+    re-resolves from the environment there).
     """
     if batched:
         return _solve_p2_fast_batched(
-            problem,
-            mu,
-            x_caps=x_caps,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
+            problem, mu, x_caps=x_caps, closed_form=closed_form
         )
     net = problem.network
     scale = problem.bs_cost.scale  # type: ignore[union-attr]
@@ -237,15 +216,7 @@ def _solve_p2_fast(
         B = float(net.bandwidths[n])
 
         alloc, u = _waterfill(
-            lam,
-            caps,
-            omega,
-            mu_n,
-            W,
-            B,
-            scale,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
+            lam, caps, omega, mu_n, W, B, scale, closed_form=closed_form
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             y_n = np.where(lam > 0, alloc / lam, 0.0)
@@ -261,7 +232,6 @@ def _solve_p2_fast_batched(
     *,
     x_caps: FloatArray | None = None,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> LoadBalancingSolution:
     """Batched fast path: one water-fill call over all ``N x T`` rows.
 
@@ -282,12 +252,7 @@ def _solve_p2_fast_batched(
         # which already feeds all T rows through one kernel call — is the
         # same computation minus the zero-init/copy assembly.
         return _solve_p2_fast(
-            problem,
-            mu,
-            x_caps=x_caps,
-            batched=False,
-            closed_form=closed_form,
-            bisection_iters=bisection_iters,
+            problem, mu, x_caps=x_caps, batched=False, closed_form=closed_form
         )
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
     j_max = max(counts) * K if N else 0
@@ -329,7 +294,6 @@ def _solve_p2_fast_batched(
         scale,
         group_ids=group,
         closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
     y = np.zeros(problem.y_shape)
@@ -358,7 +322,6 @@ def _waterfill(
     scale: float,
     *,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> tuple[FloatArray, FloatArray]:
     """One-SBS water-fill: thin wrapper over the shared batched kernel.
 
@@ -379,7 +342,6 @@ def _waterfill(
         bw,
         scale,
         closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
 
 
@@ -392,20 +354,17 @@ def _waterfill_reference(
     bandwidth: float,
     scale: float,
     *,
-    iters: int | None = None,
+    iters: int = BISECTION_ITERS,
 ) -> tuple[FloatArray, FloatArray]:
     """Historical all-bisection water-fill, kept as an independent test
     reference for the closed-form kernel.
 
     Bisection on the residual ``r`` with a greedy bandwidth fill inside;
-    ``iters`` fixed iterations (arg > ``RuntimeConfig.bisection_iters`` >
-    ``REPRO_BISECTION_ITERS`` > 26) bracket the fixed point to
-    ``~2^-iters`` relative accuracy, then the closing interpolation mixes
-    the two endpoint fills. The production kernel must match this
-    solver's objective to ``1e-9`` (and is exact where this one is
-    approximate).
+    ``iters`` fixed iterations bracket the fixed point to ``~2^-iters``
+    relative accuracy, then the closing interpolation mixes the two
+    endpoint fills. The production kernel must match this solver's
+    objective to ``1e-9`` (and is exact where this one is approximate).
     """
-    iters = resolved_bisection_iters(None, iters)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(lam > 0, mu / lam, np.inf)
     omega_full = np.broadcast_to(omega, caps.shape)
@@ -505,7 +464,6 @@ def _solve_p2_fista(
     budget: SolveBudget | None = None,
     batched: bool = False,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> LoadBalancingSolution:
     """General-case ``P2`` via accelerated projected gradient.
 
@@ -587,12 +545,7 @@ def _solve_p2_fista(
                 rows = slice(n * T, (n + 1) * T)
                 v_b[rows, :J] = yt[:, classes, :].reshape(T, -1)
             out_b = _project_blocks_capped(
-                v_b,
-                a_b,
-                bud_b,
-                caps_b,
-                closed_form=closed_form,
-                iterations=bisection_iters,
+                v_b, a_b, bud_b, caps_b, closed_form=closed_form
             )
             y = np.empty(problem.y_shape)
             for n in range(N):
@@ -622,7 +575,6 @@ def _solve_p2_fista(
                     budgets,
                     caps[:, classes, :].reshape(T, -1),
                     closed_form=closed_form,
-                    iterations=bisection_iters,
                 )
                 y[:, classes, :] = projected.reshape(T, len(classes), net.num_items)
             return y.reshape(-1)
@@ -649,7 +601,6 @@ def _project_blocks_capped(
     *,
     early_exit: bool = True,
     closed_form: bool | None = None,
-    iterations: int | None = None,
 ) -> FloatArray:
     """Batched projection onto ``{0 <= y <= caps, a . y <= budget}`` per row.
 
@@ -658,8 +609,7 @@ def _project_blocks_capped(
     directly rather than dualized). By default the binding rows solve the
     exact parametric theta (:func:`repro.optim.projection.halfspace_theta_exact`);
     ``closed_form=False`` (arg > config > ``REPRO_BW_CLOSED_FORM``) keeps
-    the legacy theta bisection as the A/B reference, running
-    ``iterations`` steps (arg > config > ``REPRO_BISECTION_ITERS`` > 26).
+    the legacy theta bisection (26 steps) as the A/B reference.
 
     The theta bisection exits early for any row whose bracket endpoints
     already produce the same clipped point bitwise: ``clip(v - theta a)``
@@ -680,7 +630,6 @@ def _project_blocks_capped(
         out = base
         out[violated] = np.clip(vv - theta[:, None] * aa, 0.0, cc)
         return out
-    iters = resolved_bisection_iters(None, iterations)
 
     theta_lo = np.zeros(vv.shape[0])
     theta_hi = np.ones(vv.shape[0])
@@ -696,7 +645,7 @@ def _project_blocks_capped(
     idx = np.arange(vv.shape[0])
     y_lo = np.clip(vv - theta_lo[:, None] * aa, 0.0, cc)
     y_hi = np.clip(vv - theta_hi[:, None] * aa, 0.0, cc)
-    for _ in range(iters):
+    for _ in range(BISECTION_ITERS):
         if early_exit:
             same = np.all(y_lo == y_hi, axis=1)
             if same.any():

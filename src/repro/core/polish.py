@@ -35,12 +35,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from repro.config import (
-    RuntimeConfig,
-    resolved_batched,
-    resolved_bisection_iters,
-    resolved_bw_closed_form,
-)
+from repro.config import RuntimeConfig, resolved_batched, resolved_bw_closed_form
 from repro.core.load_balancing import _uses_fast_path, solve_y_given_x
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
@@ -105,7 +100,6 @@ def _candidate_blocks(
     new_rows: FloatArray,
     *,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> FloatArray:
     """Oracle ``y`` blocks of SBS ``n`` for a stack of candidate cache rows.
 
@@ -135,7 +129,6 @@ def _candidate_blocks(
         np.full(V, float(net.bandwidths[n])),
         sub.bs_cost.scale,  # type: ignore[union-attr]
         closed_form=closed_form,
-        bisection_iters=bisection_iters,
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lam_b > 0, alloc_b / lam_b, 0.0)
@@ -166,7 +159,6 @@ def polish_caching(
     K = net.num_items
     batched = resolved_batched(config) and _uses_fast_path(problem)
     closed_form = resolved_bw_closed_form(config)
-    bisection_iters = resolved_bisection_iters(config)
     slots = _slot_problems(problem)
     slot_y: list[FloatArray] = []
     slot_cost = np.zeros(T)
@@ -193,11 +185,7 @@ def polish_caching(
                         if k_in is not None:
                             new_rows[v, k_in] = 1.0
                     blocks = _candidate_blocks(
-                        slots[t],
-                        n,
-                        new_rows,
-                        closed_form=closed_form,
-                        bisection_iters=bisection_iters,
+                        slots[t], n, new_rows, closed_form=closed_form
                     )
                     classes = net.classes_of_sbs[n]
                     sub = slots[t]

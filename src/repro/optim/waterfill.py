@@ -71,25 +71,36 @@ to the legacy bisection below. The counters ``p2_bw_bound_rows``,
 Legacy bisection (A/B reference, and the fallback)
 --------------------------------------------------
 The greedy fill at residual ``r`` ranks items by ``kappa_j(r)`` and pours
-bandwidth down the ranking; bisection finds ``W - u(r) = r``. The fill's
-output depends on ``r`` only through the *state* (eligible set, sort
-order), so the kernel stores the last state evaluated on each side of the
-bracket; at each midpoint one gather plus two vectorized checks — the
-``(key, index)`` pairs strictly increasing along the stored order (exactly
-the output a stable argsort would produce; ``+inf`` runs are exempt
-because their caps are zeroed) and the ``+inf`` pattern matching the
-stored eligible-prefix length — prove the stored state is valid at the
-midpoint, making ``u(mid)`` free. Since each ``kappa_j(r)`` is linear in
-``r``, a state valid at both ends of a bracket is valid throughout it, so
-a *cross-side* match certifies the fill is constant on the bracket and the
-row settles immediately. Both mechanisms are bitwise-invisible;
-``early_exit=False`` runs every iteration with fresh fills for A/B tests.
-The bisection depth follows ``RuntimeConfig.bisection_iters``
-(``REPRO_BISECTION_ITERS``, default 26); ``closed_form=False`` (or
-``REPRO_BW_CLOSED_FORM=0``) demotes every bound row to this path for
-cost-drift A/B runs. State arrays are allocated at the *compressed* width
-of each fallback subset (columns with positive cap in some row), never at
-the padded width.
+bandwidth down the ranking; bisection finds ``W - u(r) = r`` in
+:data:`BISECTION_ITERS` steps. The fill depends on ``r`` only through its
+*allocated prefix*: the items in sorted order up to and including the one
+whose running cap sum reaches ``bw``, plus a ``tight`` flag saying the
+prefix uses up the bandwidth. Items past a tight prefix get exact zeros
+in any order: every later running sum ``A`` is at least the prefix's
+``cum_p``, ``fl(fl(A + c) - c)`` is monotone in ``A``, and a state is
+stored as tight only after ``fl(fl(cum_p + c) - c) >= bw`` is checked for
+every cap ``c`` past the prefix (otherwise the prefix is the whole
+eligible set and every other item must stay ineligible). Those zeros add
+``+0.0`` to the sequential ``u`` scan, so ``u`` is the prefix's alone.
+
+The kernel stores the last state evaluated on each side of the bracket.
+At a midpoint a stored state is valid, making ``u(mid)`` free, when (1)
+the prefix's ``(key, column)`` pairs are finite and strictly increasing
+along the stored order (exactly what a stable argsort yields) and (2) no
+other pair sorts at or before the prefix's last one; for a non-tight
+prefix, every other item is ineligible. Given (1), (2) is one count over
+the row, so the tail past the prefix may reorder without costing a fill.
+Each ``kappa_j(r)`` is linear in ``r``, so a prefix valid at both ends of
+a bracket is valid throughout it: a *cross-side* match fixes the fill on
+the whole bracket, where the fixed-depth bisection would interpolate
+between two identical fills, and the row settles at once. Reuse and
+settling are bitwise-invisible; ``early_exit=False`` runs every iteration
+with fresh fills as the in-kernel reference, and the
+``p2_bisection_fills`` counter reports the fresh fills.
+``closed_form=False`` (or ``REPRO_BW_CLOSED_FORM=0``) demotes every bound
+row to this path for cost-drift A/B runs. State arrays are allocated at
+the *compressed* width of each fallback subset (columns with positive cap
+in some row), never at the padded width.
 
 Memory discipline
 -----------------
@@ -105,11 +116,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import resolved_bisection_iters, resolved_bw_closed_form
+from repro.config import resolved_bw_closed_form
 from repro.obs.recorder import inc
 from repro.types import FloatArray, IntArray
 
 _INF = np.inf
+_FMAX = np.finfo(np.float64).max
+
+#: Depth of the legacy bisections (residual water-fill and capped-block
+#: theta): 26 iterations bracket the root to ``~2^-26`` relative accuracy.
+BISECTION_ITERS = 26
 
 #: Row-chunk size for the active-row stages, in matrix elements. Chunks of
 #: ``max(1, _CHUNK_ELEMS // J)`` rows keep per-stage temporaries at a few
@@ -129,7 +145,6 @@ def waterfill_batch(
     group_ids: IntArray | None = None,
     early_exit: bool = True,
     closed_form: bool | None = None,
-    bisection_iters: int | None = None,
 ) -> tuple[FloatArray, FloatArray]:
     """Solve the water-fill for a stack of independent rows.
 
@@ -160,9 +175,6 @@ def waterfill_batch(
         module docstring). ``None`` resolves via
         :func:`repro.config.resolved_bw_closed_form` (default on);
         ``False`` demotes every bound row to the legacy bisection.
-    bisection_iters:
-        Depth of the legacy bisection. ``None`` resolves via
-        :func:`repro.config.resolved_bisection_iters` (default 26).
 
     Returns
     -------
@@ -198,7 +210,6 @@ def waterfill_batch(
             group_ids=group_ids,
             early_exit=early_exit,
             closed_form=closed_form,
-            bisection_iters=bisection_iters,
         )
         alloc_out[:, keep_cols] = alloc_c
         return alloc_out, u_out
@@ -270,7 +281,6 @@ def waterfill_batch(
         return alloc_out, u_out
 
     use_closed = resolved_bw_closed_form(None, closed_form)
-    iters = resolved_bisection_iters(None, bisection_iters)
 
     def bisect_rows_legacy(
         rows: IntArray,
@@ -279,18 +289,19 @@ def waterfill_batch(
         sl_a: FloatArray,
         W_a: FloatArray,
         bw_a: FloatArray,
-    ) -> None:
+    ) -> int:
         """Legacy residual bisection over one subset of bound rows.
 
         State arrays live at the subset's compressed column width (columns
         with positive cap in some row) — dropping the rest is
         bitwise-invisible exactly as in the kernel-level compression —
-        so the reference path never allocates O(rows x J) state.
+        so the reference path never allocates O(rows x J) state. Returns
+        the number of fresh greedy fills it ran.
         """
         kc = np.flatnonzero((cp_a > 0).any(axis=0))
         Jc = kc.size
         if Jc == 0:
-            return  # nothing routable; alloc and u stay zero
+            return 0  # nothing routable; alloc and u stay zero
         om_c = np.ascontiguousarray(om_a[:, kc])
         cp_c = np.ascontiguousarray(cp_a[:, kc])
         sl_c = np.ascontiguousarray(sl_a[:, kc])
@@ -300,55 +311,89 @@ def waterfill_batch(
         r_lo = np.zeros(rows.size)
         r_hi = np.maximum(W_a, 1e-12)
         A = rows.size
-        # Stored fill state per bracket side: sort order, eligible-prefix
-        # length, u, and a "present" flag. Invariant: a flagged side's
-        # state is fill-valid at that side's current residual.
+        fills = 0
+        # Stored fill state per bracket side: sort order, allocated-prefix
+        # length, tight flag, u, and a "present" flag. Invariant: a flagged
+        # side's state is fill-valid at that side's current residual.
         ol = np.zeros((A, Jc), dtype=np.intp)
         oh = np.zeros((A, Jc), dtype=np.intp)
         ul = np.zeros(A)
         uh = np.zeros(A)
-        ml = np.zeros(A, dtype=np.intp)
-        mh = np.zeros(A, dtype=np.intp)
+        pl = np.zeros(A, dtype=np.intp)
+        ph = np.zeros(A, dtype=np.intp)
+        tl = np.zeros(A, dtype=bool)
+        th = np.zeros(A, dtype=bool)
         hl = np.zeros(A, dtype=bool)
         hh = np.zeros(A, dtype=bool)
 
         def state_fill(
-            order: IntArray, m: IntArray, cp: FloatArray, bw: FloatArray
+            order: IntArray, p: IntArray, cp: FloatArray, bw: FloatArray
         ) -> FloatArray:
-            """Replay a stored fill state; returns the compressed allocation."""
+            """Replay a stored fill state; returns the compressed allocation.
+
+            Only the prefix is replayed: every item past it receives an
+            exact ``+0.0``, which the zero-initialized output already holds.
+            """
             n = order.shape[0]
+            w = int(p.max()) if n else 0
             sidx = np.arange(n)[:, None]
-            caps_sorted = np.where(colc < m[:, None], cp[sidx, order], 0.0)
+            o = order[:, :w]
+            caps_sorted = np.where(colc[:w] < p[:, None], cp[sidx, o], 0.0)
             cum = np.cumsum(caps_sorted, axis=1)
-            alloc_sorted = np.clip(
+            alloc = np.zeros((n, Jc))
+            alloc[sidx, o] = np.clip(
                 bw[:, None] - (cum - caps_sorted), 0.0, caps_sorted
             )
-            alloc = np.zeros((n, Jc))
-            alloc[sidx, order] = alloc_sorted
             return alloc
 
         def state_match(
-            key: FloatArray, sub: IntArray, order: IntArray, m: IntArray
+            key: FloatArray,
+            sub: IntArray,
+            order: IntArray,
+            p: IntArray,
+            tight: np.ndarray,
         ) -> IntArray:
             """Rows (subset indices into ``key``) whose key row provably
-            sorts to the stored state.
+            fills like the stored state.
 
-            A stable argsort orders by ``(key, original index)``; the
-            stored order reproduces it exactly when that pair sequence is
-            strictly increasing along the stored order — keys
-            non-decreasing and, in every run of equal finite keys, indices
-            ascending. Runs of ``+inf`` are exempt (zero caps make their
-            arrangement fill-invisible), but the ``+inf`` pattern must
-            match the stored eligible-prefix length.
+            A stable argsort orders by ``(key, column)``. The fill is fixed
+            by its allocated prefix alone when (1) the prefix's pairs are
+            finite and strictly increasing along the stored order, and (2)
+            no other pair sorts at or before the prefix's last one — for a
+            non-tight prefix, before ``+inf``: every other item is
+            ineligible. Given (1), (2) is a count: exactly ``p`` pairs sort
+            at or before the bound. Counting keys ``<=`` the bound key
+            settles it unless another item ties that key; only those rows
+            compare columns.
             """
-            o = order[sub]
-            seq = key[sub[:, None], o]
+            kr = key[sub]
+            pp = p[sub]
+            rix = np.arange(sub.size)
+            o = order[sub, : max(int(pp.max()), 1)]
+            seq = kr[rix[:, None], o]
             a, b = seq[:, :-1], seq[:, 1:]
             ok = np.all(
-                (b > a) | ((a == b) & ((o[:, 1:] > o[:, :-1]) | (a == _INF))),
+                (b > a)
+                | ((a == b) & (o[:, 1:] > o[:, :-1]))
+                | (colc[1 : o.shape[1]] >= pp[:, None]),
                 axis=1,
             )
-            ok &= np.all((seq != _INF) == (colc < m[sub, None]), axis=1)
+            last = np.maximum(pp - 1, 0)
+            k_last = seq[rix, last]
+            ok &= (pp == 0) | (k_last < _INF)
+            ts = tight[sub]
+            # The largest finite key bounds a non-tight prefix: "<= bound"
+            # then means finite, i.e. eligible.
+            k_bound = np.where(ts, k_last, _FMAX)
+            n_le = (kr <= k_bound[:, None]).sum(axis=1)
+            tie = np.flatnonzero(ok & (n_le > pp))
+            ok &= n_le == pp
+            if tie.size:
+                kb = np.where(ts[tie], k_bound[tie], _INF)[:, None]
+                ob = np.where(ts[tie], o[tie, last[tie]], -1)[:, None]
+                kt = kr[tie]
+                before = (kt < kb) | ((kt == kb) & (colc <= ob))
+                ok[tie] = before.sum(axis=1) == pp[tie]
             return sub[ok]
 
         def fresh_fill_u(
@@ -370,49 +415,73 @@ def waterfill_batch(
             alloc[sidx, order] = alloc_sorted
             return alloc, u
 
-        om_b, cp_b, sl_b = om_c, cp_c, sl_c
+        om_b, cp_b = om_c, cp_c
+        sl_b = np.where(cp_c > 0, sl_c, _INF)
         bw_b, W_b = bw_a, W_a
 
         def scatter(sub_rows: IntArray, alloc_c: FloatArray, u: FloatArray) -> None:
             alloc_out[sub_rows[:, None], kc[None, :]] = alloc_c
             u_out[sub_rows] = u
 
-        for _ in range(iters):
+        for _ in range(BISECTION_ITERS):
             if act_l.size == 0:
                 break
             A = act_l.size
             mid = 0.5 * (r_lo + r_hi)
-            kappa = two_s * mid[:, None] * om_b - sl_b
-            eligible = (kappa > 0) & (cp_b > 0)
-            key = np.where(eligible, -kappa, _INF)
+            # key = -kappa on eligible items: rounding is sign-symmetric, so
+            # slope - 2 s r omega is bitwise the negated benefit margin, and
+            # the +inf slopes of cap-0 items keep them ineligible.
+            key = sl_b - two_s * mid[:, None] * om_b
+            key = np.where(key < 0, key, _INF)
             u_m = np.empty(A)
             used = np.full(A, 2, dtype=np.int8)  # 0 = lo state, 1 = hi, 2 = fresh
             if early_exit:
                 lo_rows = np.flatnonzero(hl)
                 if lo_rows.size:
-                    matched = state_match(key, lo_rows, ol, ml)
+                    matched = state_match(key, lo_rows, ol, pl, tl)
                     u_m[matched] = ul[matched]
                     used[matched] = 0
                 rem = np.flatnonzero((used == 2) & hh)
                 if rem.size:
-                    matched = state_match(key, rem, oh, mh)
+                    matched = state_match(key, rem, oh, ph, th)
                     u_m[matched] = uh[matched]
                     used[matched] = 1
             fresh = np.flatnonzero(used == 2)
             if fresh.size:
+                fills += fresh.size
                 keyf = key[fresh]
-                eligf = eligible[fresh]
                 order_f = np.argsort(keyf, axis=1, kind="stable")
                 fidx = np.arange(fresh.size)[:, None]
-                caps_sorted = np.where(eligf, cp_b[fresh], 0.0)[fidx, order_f]
+                # Eligible items have finite keys and sort first.
+                m_f = (keyf < _INF).sum(axis=1)
+                cp_f = cp_b[fresh][fidx, order_f]
+                caps_sorted = np.where(colc < m_f[:, None], cp_f, 0.0)
                 cum_f = np.cumsum(caps_sorted, axis=1)
+                bw_f = bw_b[fresh, None]
                 alloc_sorted_f = np.clip(
-                    bw_b[fresh, None] - (cum_f - caps_sorted), 0.0, caps_sorted
+                    bw_f - (cum_f - caps_sorted), 0.0, caps_sorted
                 )
                 u_m[fresh] = np.cumsum(
                     alloc_sorted_f * om_b[fresh][fidx, order_f], axis=1
                 )[:, -1]
-                m_f = eligf.sum(axis=1)
+                # Allocated prefix: the eligible items up to the one whose
+                # running cap sum reaches bw. It is tight only if every
+                # item past it gets an exact zero in *any* order: each later
+                # running sum is >= cum_p and fl(fl(A + c) - c) is monotone
+                # in A, so ``bw - fl(fl(cum_p + c) - c) <= 0`` for every cap
+                # c past the prefix suffices. Otherwise keep the old state:
+                # the whole eligible set, with every other item ineligible.
+                p_f = (cum_f < bw_f).sum(axis=1) + 1
+                t_f = p_f <= m_f
+                if t_f.any():
+                    cum_p = np.take_along_axis(
+                        cum_f, np.minimum(p_f, Jc)[:, None] - 1, axis=1
+                    )
+                    t_f &= np.all(
+                        ((cum_p + cp_f) - cp_f >= bw_f) | (colc < p_f[:, None]),
+                        axis=1,
+                    )
+                p_f = np.where(t_f, p_f, m_f)
 
             implied = W_b - u_m
             too_small = implied > mid  # G(r) > 0 -> root is to the right
@@ -427,14 +496,16 @@ def waterfill_batch(
                 idx = np.flatnonzero(cross_hi)
                 ol[idx] = oh[idx]
                 ul[idx] = uh[idx]
-                ml[idx] = mh[idx]
+                pl[idx] = ph[idx]
+                tl[idx] = th[idx]
                 hl[idx] = True
             cross_lo = (used == 0) & ~too_small
             if cross_lo.any():
                 idx = np.flatnonzero(cross_lo)
                 oh[idx] = ol[idx]
                 uh[idx] = ul[idx]
-                mh[idx] = ml[idx]
+                ph[idx] = pl[idx]
+                th[idx] = tl[idx]
                 hh[idx] = True
             if fresh.size:
                 sel = too_small[fresh]
@@ -442,13 +513,15 @@ def waterfill_batch(
                 if tgt.size:
                     ol[tgt] = order_f[sel]
                     ul[tgt] = u_m[tgt]
-                    ml[tgt] = m_f[sel]
+                    pl[tgt] = p_f[sel]
+                    tl[tgt] = t_f[sel]
                     hl[tgt] = True
                 tgt = fresh[~sel]
                 if tgt.size:
                     oh[tgt] = order_f[~sel]
                     uh[tgt] = u_m[tgt]
-                    mh[tgt] = m_f[~sel]
+                    ph[tgt] = p_f[~sel]
+                    th[tgt] = t_f[~sel]
                     hh[tgt] = True
 
             # Cross-side match -> the state is valid at both ends of the
@@ -460,7 +533,7 @@ def waterfill_batch(
                 s = np.flatnonzero(settle)
                 scatter(
                     rows[act_l[s]],
-                    state_fill(ol[s], ml[s], cp_b[s], bw_b[s]),
+                    state_fill(ol[s], pl[s], cp_b[s], bw_b[s]),
                     ul[s],
                 )
                 kp = ~settle
@@ -469,23 +542,25 @@ def waterfill_batch(
                 bw_b, W_b = bw_b[kp], W_b[kp]
                 r_lo, r_hi = r_lo[kp], r_hi[kp]
                 ol, oh, ul, uh = ol[kp], oh[kp], ul[kp], uh[kp]
-                ml, mh, hl, hh = ml[kp], mh[kp], hl[kp], hh[kp]
+                pl, ph, tl, th = pl[kp], ph[kp], tl[kp], th[kp]
+                hl, hh = hl[kp], hh[kp]
 
         if act_l.size:
             A = act_l.size
+            fills += int(np.count_nonzero(~hl) + np.count_nonzero(~hh))
 
             def endpoint(
                 have: FloatArray,
                 order: IntArray,
                 u_s: FloatArray,
-                m_s: IntArray,
+                p_s: IntArray,
                 r_end: FloatArray,
             ) -> tuple[FloatArray, FloatArray]:
                 alloc = np.empty((A, Jc))
                 u = np.empty(A)
                 hv = np.flatnonzero(have)
                 if hv.size:
-                    alloc[hv] = state_fill(order[hv], m_s[hv], cp_b[hv], bw_b[hv])
+                    alloc[hv] = state_fill(order[hv], p_s[hv], cp_b[hv], bw_b[hv])
                     u[hv] = u_s[hv]
                 nh = np.flatnonzero(~have)
                 if nh.size:
@@ -494,8 +569,8 @@ def waterfill_batch(
                     u[nh] = uu
                 return alloc, u
 
-            alloc_lo, u_lo = endpoint(hl, ol, ul, ml, r_lo)
-            alloc_hi, u_hi = endpoint(hh, oh, uh, mh, r_hi)
+            alloc_lo, u_lo = endpoint(hl, ol, ul, pl, r_lo)
+            alloc_hi, u_hi = endpoint(hh, oh, uh, ph, r_hi)
             u_target = W_b - 0.5 * (r_lo + r_hi)
             gap = u_hi - u_lo
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -507,11 +582,12 @@ def waterfill_batch(
                 alloc_lo + t[:, None] * (alloc_hi - alloc_lo),
                 u_lo + t * gap,
             )
+        return fills
 
-    def process(rows: IntArray) -> tuple[int, int, int]:
+    def process(rows: IntArray) -> tuple[int, int, int, int]:
         """Solve one chunk of active rows.
 
-        Returns ``(bound, closed, fallback)`` row counts for the chunk.
+        Returns ``(bound, closed, fallback, fills)`` counts for the chunk.
         """
         om_a = omega[rows]
         cp_a = caps[rows]
@@ -587,7 +663,7 @@ def waterfill_batch(
         brows = rows[keep]
         nb = brows.size
         if nb == 0:
-            return 0, 0, 0
+            return 0, 0, 0, 0
         # Release the slack-scan temporaries before the bound stage: the
         # chunk's peak live set — not any O(R x J) allocation — is what
         # the kernel's memory budget consists of now.
@@ -599,7 +675,7 @@ def waterfill_batch(
             om_b, cp_b = om_a[keep], cp_a[keep]
             bw_b, W_b = bw_a[keep], W_a[keep]
         sl_b = slope_of(brows)
-        n_cf = 0
+        n_cf = n_fills = 0
         if use_closed:
             alloc_b, u_b, solved = _solve_bw_bound(
                 om_b, cp_b, sl_b, W_b, bw_b, two_s
@@ -611,25 +687,28 @@ def waterfill_batch(
             n_cf = int(srows.size)
             if n_cf < nb:
                 un = ~solved
-                bisect_rows_legacy(
+                n_fills = bisect_rows_legacy(
                     brows[un], om_b[un], cp_b[un], sl_b[un], W_b[un], bw_b[un]
                 )
         else:
-            bisect_rows_legacy(brows, om_b, cp_b, sl_b, W_b, bw_b)
-        return nb, n_cf, nb - n_cf
+            n_fills = bisect_rows_legacy(brows, om_b, cp_b, sl_b, W_b, bw_b)
+        return nb, n_cf, nb - n_cf, n_fills
 
-    n_bound = n_closed = n_fallback = 0
+    n_bound = n_closed = n_fallback = n_fills = 0
     for start in range(0, act.size, chunk):
-        nb, nc, nf = process(act[start : start + chunk])
+        nb, nc, nf, nfill = process(act[start : start + chunk])
         n_bound += nb
         n_closed += nc
         n_fallback += nf
+        n_fills += nfill
     if n_bound:
         inc("p2_bw_bound_rows", float(n_bound))
     if n_closed:
         inc("p2_bw_closed_form", float(n_closed))
     if n_fallback:
         inc("p2_bisection_fallbacks", float(n_fallback))
+    if n_fills:
+        inc("p2_bisection_fills", float(n_fills))
     return alloc_out, u_out
 
 

@@ -7,7 +7,8 @@ wrapped in a :class:`cProfile.Profile`, and the result lands as a
 deterministic text table next to the leg's ``BENCH_*.json``.
 
 Deterministic here means the *shape* of the artifact: rows are sorted by
-cumulative time with a stable ``(path, line, function)`` tiebreak, paths
+self time (``tottime``; cumulative time is a column) with a stable
+``(path, line, function)`` tiebreak, paths
 are rendered repo-relative (interpreter-install prefixes are stripped so
 two hosts produce comparable rows), floats are fixed-width. The measured
 times themselves naturally vary run to run — the artifact is for reading
@@ -68,17 +69,18 @@ def render_profile(
     rows = []
     for (filename, line, func), (cc, nc, tt, ct, _callers) in stats.stats.items():
         location = _render_location(filename, line, func, repo_root)
-        rows.append((ct, tt, nc, cc, location))
-    # Primary order: cumulative time, descending. Ties (and near-ties) are
-    # broken by the rendered location so reruns list identical rows in an
-    # identical order.
+        rows.append((tt, ct, nc, cc, location))
+    # Primary order: self time, descending — cumulative order would list
+    # only the harness frames that enclose everything. Ties (and
+    # near-ties) are broken by the rendered location so reruns list
+    # identical rows in an identical order.
     rows.sort(key=lambda r: (-r[0], r[4]))
     out = io.StringIO()
     if header:
         out.write(header.rstrip("\n") + "\n")
-    out.write(f"top {min(top, len(rows))} of {len(rows)} functions by cumulative time\n")
+    out.write(f"top {min(top, len(rows))} of {len(rows)} functions by self time\n")
     out.write(f"{'ncalls':>12} {'tottime':>10} {'cumtime':>10}  location\n")
-    for ct, tt, nc, cc, location in rows[:top]:
+    for tt, ct, nc, cc, location in rows[:top]:
         ncalls = str(nc) if nc == cc else f"{nc}/{cc}"
         out.write(f"{ncalls:>12} {tt:>10.4f} {ct:>10.4f}  {location}\n")
     return out.getvalue()

@@ -147,6 +147,40 @@ def _random_stack(rng, R, J):
     return lam, caps, omega, mu, W, bandwidths
 
 
+def _class_rows(rng, R, G, K, bw_mode):
+    """P2-shaped rows: G MU classes of K items, omega constant per class
+    block. Coarse dyadic grids for omega, lam, mu and caps make slopes tie
+    within a class, keys tie across classes at the bisection's dyadic
+    midpoints, and running cap sums hit the bandwidth exactly."""
+    J = G * K
+    omega = np.repeat(rng.choice([0.5, 1.0, 1.5, 2.0], (R, G)), K, axis=1)
+    lam = rng.choice([0.0, 1.0, 2.0], (R, J), p=[0.2, 0.4, 0.4])
+    mu = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], (R, J))
+    caps = lam * rng.choice([0.0, 0.5, 1.0], (R, J), p=[0.2, 0.3, 0.5])
+    # One sloped, routable item per row so every row enters the bisection.
+    lam[:, 0], mu[:, 0], caps[:, 0] = 1.0, 0.5, 1.0
+    W = (lam * omega).sum(axis=1)
+    total = caps.sum(axis=1)
+    if bw_mode == "zero":
+        bw = np.zeros(R)
+    elif bw_mode == "fits":
+        # Most midpoints' eligible caps fit: non-tight prefixes.
+        bw = np.floor(1.5 * total) / 2
+    elif bw_mode == "exact":
+        # bw equals the caps of the k lowest-threshold items, so it runs
+        # out exactly at the last eligible item where those are eligible.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            thr = np.where(caps > 0, mu / (lam * omega), np.inf)
+        cum = np.cumsum(
+            np.take_along_axis(caps, np.argsort(thr, axis=1, kind="stable"), 1),
+            axis=1,
+        )
+        bw = cum[np.arange(R), rng.integers(0, J, R)]
+    else:
+        bw = np.floor(rng.uniform(0.0, 2.0, R) * total) / 2
+    return lam, caps, omega, mu, W, bw
+
+
 class TestWaterfillKernel:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
@@ -158,6 +192,51 @@ class TestWaterfillKernel:
         fast = waterfill_batch(lam, caps, omega, mu, W, bw, 1.0, early_exit=True)
         assert np.array_equal(full[0], fast[0])
         assert np.array_equal(full[1], fast[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.integers(1, 30),
+        st.sampled_from(["zero", "fits", "exact", "random"]),
+    )
+    def test_prefix_state_reuse_bitwise_on_class_rows(self, seed, R, G, K, bw_mode):
+        """Allocated-prefix state reuse and cross-side settling return the
+        fixed-depth bisection's bits (sign of zero included) on
+        class-structured rows full of slope, key and bandwidth ties."""
+        rng = np.random.default_rng(seed)
+        lam, caps, omega, mu, W, bw = _class_rows(rng, R, G, K, bw_mode)
+        args = (lam, caps, omega, mu, W, bw, 1.0)
+        full = waterfill_batch(*args, early_exit=False, closed_form=False)
+        fast = waterfill_batch(*args, early_exit=True, closed_form=False)
+        assert full[0].tobytes() == fast[0].tobytes()
+        assert full[1].tobytes() == fast[1].tobytes()
+
+    def test_fills_per_bound_row_pinned(self):
+        """Fresh greedy fills per bisected row on a fixed G = 3 stack. The
+        fixed-depth bisection runs 26 midpoint fills plus 2 endpoint fills
+        per row; allocated-prefix reuse needs a fraction of that."""
+        rng = np.random.default_rng(0)
+        lam, caps, omega, mu, W, bw = _bound_stack(rng, 200, 30, G=3)
+
+        def fills(early_exit):
+            rec = Recorder()
+            with record_into(rec):
+                waterfill_batch(
+                    lam, caps, omega, mu, W, bw, 1.0, early_exit=early_exit
+                )
+            return (
+                rec.metrics.counter("p2_bisection_fills"),
+                rec.metrics.counter("p2_bisection_fallbacks"),
+            )
+
+        fixed, rows = fills(False)
+        assert rows > 0 and fixed == 28 * rows
+        reused, rows_again = fills(True)
+        assert rows_again == rows
+        # 242 fills for 200 rows; whole-order state reuse needed 412.
+        assert reused == 242
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))
@@ -491,13 +570,13 @@ class TestBwBoundClosedForm:
             assert (sums >= bw * (1 - 1e-9) - 1e-12).all()
         else:
             assert (sums >= bw * (1 - 1e-6) - 1e-9).all()
-        deep, _ = waterfill_batch(
-            lam, caps, omega, mu, W, bw, 1.0,
-            closed_form=False, bisection_iters=60,
-        )
         for r in range(rows):
+            sl = slice(r, r + 1)
+            deep, _ = _waterfill_reference(
+                lam[sl], caps[sl], omega[r], mu[sl], W[sl], bw[r], 1.0, iters=60
+            )
             got = _row_objective(alloc[r], lam[r], omega[r], mu[r], W[r], 1.0)
-            ref = _row_objective(deep[r], lam[r], omega[r], mu[r], W[r], 1.0)
+            ref = _row_objective(deep[0], lam[r], omega[r], mu[r], W[r], 1.0)
             assert got <= ref + 1e-9 * max(1.0, abs(ref))
 
     @settings(max_examples=15, deadline=None)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import (
     BACKEND_ENV,
-    BISECTION_ITERS_ENV,
     BATCHED_TIES_ENV,
     BW_CLOSED_FORM_ENV,
     DEFAULT_SERVE_ADMISSION,
@@ -29,7 +28,6 @@ from repro.config import (
     reset_deprecation_warnings,
     resolved_backend_pin,
     resolved_batched_ties,
-    resolved_bisection_iters,
     resolved_bw_closed_form,
     resolved_flow_reuse,
     resolved_obs_slo,
@@ -58,7 +56,6 @@ def _clean_env(monkeypatch):
         SERVE_METRICS_PORT_ENV,
         OBS_SLO_ENV,
         BW_CLOSED_FORM_ENV,
-        BISECTION_ITERS_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
     reset_deprecation_warnings()
@@ -319,32 +316,6 @@ class TestWaterfillKnobs:
         cfg = RuntimeConfig(bw_closed_form=True)
         assert resolved_bw_closed_form(cfg, False) is False
         assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False), True)
-
-    def test_bisection_iters_default(self):
-        assert resolved_bisection_iters(None) == 26
-
-    def test_bisection_iters_env(self, monkeypatch):
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "40")
-        assert resolved_bisection_iters(None) == 40
-
-    def test_bisection_iters_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "40")
-        assert resolved_bisection_iters(RuntimeConfig(bisection_iters=12)) == 12
-
-    def test_bisection_iters_arg_beats_config(self):
-        assert resolved_bisection_iters(RuntimeConfig(bisection_iters=12), 7) == 7
-
-    def test_bisection_iters_validated(self, monkeypatch):
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None, 0)
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(bisection_iters=0)
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "zero")
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None)
-        monkeypatch.setenv(BISECTION_ITERS_ENV, "-3")
-        with pytest.raises(ConfigurationError):
-            resolved_bisection_iters(None)
 
 
 class TestBatchedTiesKnob:

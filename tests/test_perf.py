@@ -247,8 +247,11 @@ class TestProfiler:
         # Leg name is normalized and the artifact lands in results/.
         assert out == tmp_path / "results" / "PROFILE_fake.txt"
         table = out.read_text()
-        assert "functions by cumulative time" in table
+        assert "functions by self time" in table
         assert f"{'ncalls':>12} {'tottime':>10} {'cumtime':>10}" in table
+        # Rows are ordered by self time, so the sort key leads.
+        tottimes = [float(line.split()[1]) for line in table.splitlines()[3:]]
+        assert tottimes == sorted(tottimes, reverse=True)
 
     def test_out_dir_override(self, tmp_path):
         target = tmp_path / "elsewhere"
