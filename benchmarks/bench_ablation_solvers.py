@@ -2,12 +2,11 @@
 
 Times the interchangeable backends on paper-scale subproblems:
 
-- ``P1`` (caching): min-cost flow vs sparse HiGHS LP vs the in-house
-  simplex (small instances only for the latter);
-- ``P1`` flow-graph reuse: pooled graph templates with in-place cost
-  rewrites vs rebuilding the graph per solve (``REPRO_FLOW_REUSE``);
 - ``P2`` (load balancing): the exact water-filling solver vs FISTA;
 - raw LP: in-house bounded-variable simplex vs HiGHS.
+
+``P1`` has one exact path (``repro.core.caching_lp.solve_caching``), so it
+has no backend leg here.
 
 These are real repeated-timing benchmarks (pytest-benchmark statistics),
 unlike the figure benches which run once.
@@ -15,83 +14,14 @@ unlike the figure benches which run once.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.api import JointProblem, paper_demand, single_cell_network
-# Internal by design: this bench ablates the P1/P2 solver backends against
+# Internal by design: this bench ablates the P2 solver backends against
 # each other, below the stable public surface.
-from repro.core.caching_lp import FLOW_REUSE_ENV, solve_caching
 from repro.core.load_balancing import _solve_p2_fista, solve_p2
 from repro.optim.linprog import solve_lp
-
-
-@pytest.fixture(scope="module")
-def p1_instance():
-    rng = np.random.default_rng(0)
-    net = single_cell_network(
-        num_items=30, cache_size=5, bandwidth=30.0, replacement_cost=100.0,
-        omega_bs=rng.uniform(0, 1, 30),
-    )
-    mu = rng.uniform(0, 2, size=(10, 30, 30))
-    x0 = np.zeros((1, 30))
-    return net, mu, x0
-
-
-@pytest.mark.parametrize("backend", ["flow", "lp"])
-def test_p1_backend_speed(benchmark, p1_instance, backend):
-    net, mu, x0 = p1_instance
-    result = benchmark(lambda: solve_caching(net, mu, x0, backend=backend))
-    assert set(np.unique(result.x)) <= {0.0, 1.0}
-
-
-def test_p1_flow_reuse_ablation(p1_instance, save_json, monkeypatch):
-    """Graph reuse vs per-solve rebuild: identical caches, measured gain.
-
-    Uses a horizon-40 instance (the offline/quick-bench scale) rather than
-    the horizon-10 micro-instance: the graph build amortizes better as the
-    horizon grows, which is exactly the regime the subgradient loop hits.
-    """
-    net, _, x0 = p1_instance
-    rng = np.random.default_rng(7)
-    mu = rng.uniform(0, 2, size=(40, 30, 30))
-    rounds = 10
-
-    def timed(reuse_flag: str):
-        monkeypatch.setenv(FLOW_REUSE_ENV, reuse_flag)
-        result = solve_caching(net, mu, x0, backend="flow")  # warm-up
-        started = time.perf_counter()
-        for _ in range(rounds):
-            result = solve_caching(net, mu, x0, backend="flow")
-        return time.perf_counter() - started, result
-
-    fresh_seconds, fresh = timed("0")
-    reuse_seconds, reused = timed("1")
-
-    # Reuse only rewrites arc costs on a pooled graph; the solve itself is
-    # unchanged, so the caches must match exactly.
-    assert np.array_equal(fresh.x, reused.x)
-    assert fresh.objective == reused.objective
-
-    speedup = fresh_seconds / max(reuse_seconds, 1e-9)
-    save_json(
-        "ablation_flow_reuse",
-        {
-            "rounds": rounds,
-            "fresh_seconds": fresh_seconds,
-            "reuse_seconds": reuse_seconds,
-            "speedup": speedup,
-            "caches_identical": True,
-        },
-    )
-    print(
-        f"\nflow reuse: fresh {fresh_seconds:.3f}s, reused "
-        f"{reuse_seconds:.3f}s -> {speedup:.2f}x over {rounds} rounds"
-    )
-    # The pooled path must never regress past noise level.
-    assert reuse_seconds <= fresh_seconds * 1.10
 
 
 @pytest.fixture(scope="module")

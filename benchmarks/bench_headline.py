@@ -31,7 +31,6 @@ from repro.api import (
 )
 from repro.config import (
     resolved_batched,
-    resolved_batched_ties,
     resolved_bw_closed_form,
     resolved_incremental,
 )
@@ -45,10 +44,6 @@ _SOLVE_COUNTERS = (
     "p1_batched_solves",
     "p1_batched_capped",
     "p1_batched_fallbacks",
-    "p1_quant_memo_hits",
-    "flow_warm_resumes",
-    "flow_warm_bailouts",
-    "flow_warm_disabled_keys",
     "p2_bw_bound_rows",
     "p2_bw_closed_form",
     "p2_bisection_fallbacks",
@@ -119,11 +114,6 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
         # off/on pair diffs as the same workload and ``--gate-costs``
         # checks the solutions really are bit-identical across kernels.
         "bw_closed_form": resolved_bw_closed_form(None),
-        # ``batched_ties`` follows the same strategy-field pattern: the
-        # ties off/on pair shares a digest, so CI's A/B gates both the
-        # costs (bit-identical by the canonical tie discipline) and the
-        # wall time.
-        "batched_ties": resolved_batched_ties(None),
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "speedup": speedup,
@@ -180,7 +170,7 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
 
     # With the batched core on, every memo miss must be accounted for by
     # the relaxation pass: either answered there or counted as a fallback
-    # to the per-SBS backends. (Misses are only counted when the memo is
+    # to the per-SBS flow. (Misses are only counted when the memo is
     # active, so the identity needs the incremental layer too.)
     if payload["batched"] and payload["incremental"]:
         counters = payload["solve_counters"]
@@ -191,15 +181,15 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
         # Tie-aware acceptance closes the fallback storm: the paper's
         # uniform-cost scenarios are tie-degenerate by construction, and
         # with the canonical discipline those rows are accepted, not
-        # punted to the per-SBS loop. Gate the rate on the quick scale
+        # punted to the per-SBS flow. Gate the rate on the quick scale
         # (the scale CI runs and the one the threshold was measured on).
-        if payload["batched_ties"] and bench_scale.name == "quick":
+        if bench_scale.name == "quick":
             misses = counters["p1_memo_misses"]
             rate = counters["p1_batched_fallbacks"] / misses if misses else 0.0
             assert rate <= 0.05, (
                 f"batched P1 fallback rate {rate:.3f} > 0.05 "
                 f"({counters['p1_batched_fallbacks']:.0f} of {misses:.0f} "
-                "misses fell back to the per-SBS backends)"
+                "misses fell back to the per-SBS flow)"
             )
 
     # Every bandwidth-bound P2 row is accounted for: answered by the

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig, resolved_batched_ties
+from repro.config import RuntimeConfig
 from repro.core.caching_lp import solve_caching
 from repro.core.load_balancing import solve_p2
 from repro.core.primal_dual import solve_primal_dual
@@ -264,9 +264,7 @@ def test_large_scale(save_report):
     p1_recorder = Recorder()
     started = time.perf_counter()
     with record_into(p1_recorder):
-        p1 = solve_caching(
-            network, mu_p1, x0, backend="flow", cache=SolveCache()
-        )
+        p1 = solve_caching(network, mu_p1, x0, cache=SolveCache())
     p1_seconds = time.perf_counter() - started
     assert np.isfinite(p1.objective)
     p1_counters = _counters(p1_recorder)
@@ -276,15 +274,13 @@ def test_large_scale(save_report):
         == p1_counters["p1_memo_misses"]
         == NUM_SBS
     )
-    # With the tie-aware acceptance on (the default), the relaxed pass plus
-    # the exact capped kernel must answer (essentially) the whole stack —
-    # the per-SBS flow loop at K = 10,000 is exactly what this scale cannot
-    # afford to fall back to.
-    if resolved_batched_ties(None):
-        assert p1_counters["p1_batched_fallbacks"] <= 0.05 * NUM_SBS, (
-            f"{p1_counters['p1_batched_fallbacks']:.0f} of {NUM_SBS} SBSs "
-            "fell back to the per-SBS backends with batched_ties on"
-        )
+    # The relaxed pass plus the exact capped kernel must answer
+    # (essentially) the whole stack — the per-SBS flow loop at K = 10,000 is
+    # exactly what this scale cannot afford to fall back to.
+    assert p1_counters["p1_batched_fallbacks"] <= 0.05 * NUM_SBS, (
+        f"{p1_counters['p1_batched_fallbacks']:.0f} of {NUM_SBS} SBSs "
+        "fell back to the per-SBS flow"
+    )
 
     # The loop path on a subsample, to price what the batch replaced. The
     # subnetwork is a prefix slice, so SBS/class ids keep their positions.
@@ -298,7 +294,6 @@ def test_large_scale(save_report):
         sub,
         mu_p1[:, : LOOP_SAMPLE * CLASSES_PER_SBS, :],
         x0[:LOOP_SAMPLE],
-        backend="flow",
         config=RuntimeConfig(batched=False),
     )
     loop_sample_seconds = time.perf_counter() - started
@@ -314,7 +309,6 @@ def test_large_scale(save_report):
         result = solve_primal_dual(
             problem,
             max_iter=2,
-            caching_backend="flow",
             solve_cache=SolveCache(),
             max_seconds=1800.0,  # safety net, not the expected stop
         )
@@ -333,7 +327,6 @@ def test_large_scale(save_report):
         "bench": "large",
         "scale": "large",
         "batched": True,
-        "batched_ties": resolved_batched_ties(None),
         "bw_closed_form": True,
         "workload": {
             "num_sbs": NUM_SBS,

@@ -1,70 +1,40 @@
 """Runtime configuration: one typed object instead of scattered env reads.
 
-Historically four environment variables steered the runtime — worker count
-(``REPRO_WORKERS``), executor kind (``REPRO_EXECUTOR``), the ``auto``
-caching-backend pin (``REPRO_CACHING_BACKEND``) and the flow-graph-reuse
-kill switch (``REPRO_FLOW_REUSE``). :class:`RuntimeConfig` replaces them
-with an explicit argument accepted across the library and by every
-:mod:`repro.api` entry point.
+:class:`RuntimeConfig` is the explicit argument accepted across the library
+and by every :mod:`repro.api` entry point. Executor choice and worker count
+come from it (or from explicit arguments) only. The remaining knobs also
+have an environment override, which CI and deployment wrappers use to A/B a
+layer without touching call sites.
 
 Precedence, everywhere a knob is consulted: **explicit argument >
-environment > built-in default**. The environment variables keep working
-as deprecated fallbacks so existing scripts do not break, but each one
-triggers a :class:`DeprecationWarning` the first time it is actually read
-in a process — exactly once per variable, never once per solve.
+``RuntimeConfig`` field > environment > built-in default**.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 
-#: Deprecated environment fallbacks (see module docstring).
-WORKERS_ENV = "REPRO_WORKERS"
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-BACKEND_ENV = "REPRO_CACHING_BACKEND"
-FLOW_REUSE_ENV = "REPRO_FLOW_REUSE"
-
-#: Supported (non-deprecated) switch for the incremental re-solve layer —
-#: CI uses it to A/B the layer without touching call sites, so unlike the
-#: variables above it does not warn. ``0`` disables; anything else enables.
+#: Switch for the incremental re-solve layer, so CI can A/B the layer
+#: without touching call sites. ``0`` disables; anything else enables.
 INCREMENTAL_ENV = "REPRO_INCREMENTAL"
 
-#: Supported switch for the batched (vectorized) solve core — the stacked
-#: ``P1`` certificate kernel and the all-SBS ``P2`` water-fill. CI A/Bs it
-#: like :data:`INCREMENTAL_ENV`, so it does not warn. ``0`` disables.
+#: Switch for the batched (vectorized) solve core — the stacked ``P1``
+#: certificate kernel and the all-SBS ``P2`` water-fill. ``0`` disables.
 BATCHED_ENV = "REPRO_BATCHED"
 
-#: Supported switch for the tie-aware acceptance rule of the batched ``P1``
-#: certificate pass (default on). ``REPRO_BATCHED_TIES=0`` restores the
-#: strict-margin certificate — tie-degenerate rows fall back to the per-SBS
-#: backends — without changing any cost: the per-SBS backends resolve ties
-#: canonically either way, so CI A/Bs this switch under ``--gate-costs``.
-BATCHED_TIES_ENV = "REPRO_BATCHED_TIES"
-
-#: Supported switch for the closed-form bandwidth-bound ``P2`` water-fill
-#: (default on). ``REPRO_BW_CLOSED_FORM=0`` routes every bandwidth-bound
-#: row through the legacy bisection instead — the A/B reference path CI
-#: uses to gate cost drift — so like the switches above it does not warn.
+#: Switch for the closed-form bandwidth-bound ``P2`` water-fill (default
+#: on). ``REPRO_BW_CLOSED_FORM=0`` routes every bandwidth-bound row through
+#: the legacy bisection instead — the A/B reference path CI uses to gate
+#: cost drift.
 BW_CLOSED_FORM_ENV = "REPRO_BW_CLOSED_FORM"
 
-#: Supported opt-in switch for the quantized ``P1`` memo key (see
-#: :func:`repro.perf.solvecache.p1_quantized_digest`). Unset or ``0``
-#: keeps the byte-exact digest; any other value enables quantization.
-#: Measured on the headline-quick leg (EXPERIMENTS.md): the quantized key
-#: adds no hits there — drifting-``mu`` iterations move prices by far more
-#: than the 1e-9 band — so the byte-exact default stands; enable it only
-#: for workloads with near-stationary prices.
-QUANTIZED_MEMO_ENV = "REPRO_QUANTIZED_MEMO"
-
-#: Supported environment fallbacks for the serve runtime (:mod:`repro.serve`).
-#: Like the switches above they are part of the supported surface — CI and
-#: deployment wrappers set them — so they do not warn. Precedence at every
-#: consultation point: explicit argument > ``RuntimeConfig`` field > env >
-#: built-in default (see the ``resolved_serve_*`` helpers).
+#: Environment overrides for the serve runtime (:mod:`repro.serve`). CI and
+#: deployment wrappers set them. Precedence at every consultation point:
+#: explicit argument > ``RuntimeConfig`` field > env > built-in default
+#: (see the ``resolved_serve_*`` helpers).
 SERVE_RPS_ENV = "REPRO_SERVE_RPS"
 SERVE_ADMISSION_ENV = "REPRO_SERVE_ADMISSION"
 SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
@@ -82,93 +52,36 @@ DEFAULT_SERVE_ADMISSION = "queue"
 DEFAULT_SERVE_QUEUE_DEPTH = 256
 DEFAULT_SERVE_SLOT_SECONDS = 0.25
 
-_WARNED: set[str] = set()
-
-
-def deprecated_env(name: str) -> str | None:
-    """Read a deprecated environment fallback, warning once per variable.
-
-    Returns ``None`` (silently) when the variable is unset or empty —
-    the warning fires only for users actually relying on the fallback.
-    """
-    value = os.environ.get(name)
-    if not value:
-        return None
-    if name not in _WARNED:
-        _WARNED.add(name)
-        warnings.warn(
-            f"{name} is deprecated; pass RuntimeConfig("
-            f"{_FIELD_OF[name]}=...) to the repro.api entry points instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return value
-
-
-_FIELD_OF = {
-    WORKERS_ENV: "workers",
-    EXECUTOR_ENV: "executor",
-    BACKEND_ENV: "caching_backend",
-    FLOW_REUSE_ENV: "flow_reuse",
-}
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which fallbacks have warned (test isolation helper)."""
-    _WARNED.clear()
-
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Explicit runtime knobs for solves, sweeps and benchmarks.
 
     Every field defaults to ``None`` — "not specified" — in which case the
-    deprecated environment fallback and then the built-in default apply.
+    environment override (where the knob has one) and then the built-in
+    default apply.
 
     Parameters
     ----------
     executor:
-        Executor spec, e.g. ``"serial"``, ``"thread"``, ``"process:4"``
-        (formerly ``REPRO_EXECUTOR``).
+        Executor spec, e.g. ``"serial"``, ``"thread"``, ``"process:4"``.
     workers:
-        Worker count for parallel fan-outs (formerly ``REPRO_WORKERS``);
-        overrides a count embedded in ``executor``.
-    caching_backend:
-        Pin for the ``auto`` ``P1`` backend choice: ``"flow"``, ``"lp"``
-        or ``"lp-simplex"`` (formerly ``REPRO_CACHING_BACKEND``). Explicit
-        ``backend=`` arguments at call sites still win.
-    flow_reuse:
-        Whether the flow backend pools built graphs across same-shape
-        solves (formerly ``REPRO_FLOW_REUSE``; default on).
+        Worker count for parallel fan-outs; overrides a count embedded in
+        ``executor``.
     incremental:
         Whether the incremental re-solve layer is active (default on):
-        per-SBS ``P1`` memoization, warm-resumed min-cost flow, and
-        cross-window warm-candidate seeding in the online controllers.
-        ``REPRO_INCREMENTAL=0`` is the supported environment override.
+        per-SBS ``P1`` memoization and cross-window warm-candidate seeding
+        in the online controllers. ``REPRO_INCREMENTAL=0`` is the
+        environment override.
     batched:
         Whether the batched solve core is active (default on): the stacked
-        ``P1`` certificate kernel with per-SBS fallback and the all-SBS
+        ``P1`` certificate kernels with per-SBS fallback and the all-SBS
         ``P2`` water-fill with certificate early exit. ``REPRO_BATCHED=0``
-        is the supported environment override.
-    batched_ties:
-        Whether the batched ``P1`` pass accepts tie-degenerate relaxed
-        optima via the tie-aware exact certificate (default on).
-        ``REPRO_BATCHED_TIES=0`` restores the strict-margin certificate,
-        so degenerate rows fall back to the per-SBS backends; costs are
-        unaffected either way (the per-SBS backends resolve ties with the
-        same canonical discipline), which is what makes the CI off/on A/B
-        gateable bit-for-bit.
-    quantized_memo:
-        Opt-in quantized ``P1`` memo key (default off): prices are rounded
-        to a tolerance band before digesting so drifting-``mu`` iterations
-        can share memo entries; objectives are recomputed for the actual
-        prices on every quantized hit. ``REPRO_QUANTIZED_MEMO=1`` is the
-        environment override. Measured on the headline leg it buys nothing
-        (see EXPERIMENTS.md), hence off by default.
+        is the environment override.
     bw_closed_form:
         Whether bandwidth-bound ``P2`` rows are solved by the exact
         closed-form parametric path (default on) or by the legacy
-        bisection reference. ``REPRO_BW_CLOSED_FORM=0`` is the supported
+        bisection reference. ``REPRO_BW_CLOSED_FORM=0`` is the
         environment override; CI uses it for cost-drift A/B runs.
     serve_rps:
         Open-loop arrival rate for the serve runtime (requests/second;
@@ -199,12 +112,8 @@ class RuntimeConfig:
 
     executor: str | None = None
     workers: int | None = None
-    caching_backend: str | None = None
-    flow_reuse: bool | None = None
     incremental: bool | None = None
     batched: bool | None = None
-    batched_ties: bool | None = None
-    quantized_memo: bool | None = None
     bw_closed_form: bool | None = None
     serve_rps: float | None = None
     serve_admission: str | None = None
@@ -216,15 +125,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.caching_backend is not None and self.caching_backend not in (
-            "flow",
-            "lp",
-            "lp-simplex",
-        ):
-            raise ConfigurationError(
-                "caching_backend must be flow, lp, or lp-simplex; "
-                f"got {self.caching_backend!r}"
-            )
         if self.serve_rps is not None and not self.serve_rps > 0:
             raise ConfigurationError(
                 f"serve_rps must be > 0, got {self.serve_rps}"
@@ -261,26 +161,6 @@ class RuntimeConfig:
             parse_slo_specs(self.obs_slo)
 
 
-def resolved_backend_pin(config: RuntimeConfig | None) -> str | None:
-    """The ``auto``-backend pin: config field, else deprecated env, else none."""
-    if config is not None and config.caching_backend is not None:
-        return config.caching_backend
-    env = deprecated_env(BACKEND_ENV)
-    if env is not None and env not in ("flow", "lp", "lp-simplex"):
-        raise ConfigurationError(
-            f"{BACKEND_ENV} must be flow, lp, or lp-simplex; got {env!r}"
-        )
-    return env
-
-
-def resolved_flow_reuse(config: RuntimeConfig | None) -> bool:
-    """Flow-graph reuse: config field, else deprecated env, else on."""
-    if config is not None and config.flow_reuse is not None:
-        return config.flow_reuse
-    env = deprecated_env(FLOW_REUSE_ENV)
-    return env != "0"
-
-
 def resolved_incremental(config: RuntimeConfig | None) -> bool:
     """Incremental re-solve layer: config field, else env, else on."""
     if config is not None and config.incremental is not None:
@@ -293,20 +173,6 @@ def resolved_batched(config: RuntimeConfig | None) -> bool:
     if config is not None and config.batched is not None:
         return config.batched
     return os.environ.get(BATCHED_ENV, "") != "0"
-
-
-def resolved_batched_ties(config: RuntimeConfig | None) -> bool:
-    """Tie-aware batched ``P1`` acceptance: config field, else env, else on."""
-    if config is not None and config.batched_ties is not None:
-        return config.batched_ties
-    return os.environ.get(BATCHED_TIES_ENV, "") != "0"
-
-
-def resolved_quantized_memo(config: RuntimeConfig | None) -> bool:
-    """Quantized ``P1`` memo key: config field, else env, else off."""
-    if config is not None and config.quantized_memo is not None:
-        return config.quantized_memo
-    return os.environ.get(QUANTIZED_MEMO_ENV, "") == "1"
 
 
 def resolved_bw_closed_form(

@@ -8,77 +8,42 @@ Given the dual prices ``mu``, ``P1`` decomposes per SBS into
 
 with ``c[t,k] = sum_{m in n} mu[t,m,k]`` (Eqs. 20-22). Theorem 1 proves the
 constraint matrix totally unimodular, so the LP relaxation has an integral
-optimum. Two exact backends are provided:
+optimum and one exact integral solver is enough. :func:`solve_caching` runs
+one path per call:
 
-- ``"flow"`` (default): the LP *is* a min-cost flow in which each of the
-  ``C_n`` cache slots is one unit of flow travelling through time — idling
-  between hub nodes for free, or detouring through a content's per-slot
-  node chain (paying ``beta_n`` to enter, collecting ``c[t,k]`` per slot
-  held). Integrality is automatic and the solve is combinatorial.
-- ``"lp"``: the sparse LP of Eqs. 20-22 via :func:`repro.optim.solve_lp`
-  (HiGHS or the in-house simplex); near-integral vertices are snapped and
-  verified. Used to cross-check the flow backend.
+1. the digest-exact memo (:class:`repro.perf.solvecache.SolveCache`), when
+   the caller passes one;
+2. the batched pass over every memo miss — the cardinality-relaxed DP
+   (:func:`_relaxed_dp_stack`), then the cap-constrained cancel kernel
+   (:func:`repro.core.capped.capped_cancel_stack`) for the rows whose relaxed
+   optimum over-caps;
+3. a per-SBS min-cost flow (:func:`_solve_single_sbs_flow`) for the rows
+   neither kernel certifies. The LP *is* a min-cost flow in which each of
+   the ``C_n`` cache slots is one unit of flow travelling through time —
+   idling between hub nodes for free, or detouring through a content's
+   per-slot node chain (paying ``beta_n`` to enter, collecting ``c[t,k]``
+   per slot held) — so integrality is automatic and the solve is
+   combinatorial.
+
+The HiGHS LP of Eqs. 20-22 is kept in the test suite as the independent
+oracle the three stages are checked against.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
-from repro.config import (
-    BACKEND_ENV,
-    FLOW_REUSE_ENV,
-    RuntimeConfig,
-    resolved_backend_pin,
-    resolved_batched,
-    resolved_batched_ties,
-    resolved_flow_reuse,
-    resolved_quantized_memo,
-)
+from repro.config import RuntimeConfig, resolved_batched
 from repro.core.capped import capped_cancel_stack
 from repro.exceptions import ConfigurationError, SolverError
 from repro.network.topology import Network
 from repro.obs.recorder import inc
-from repro.optim.linprog import solve_lp
-from repro.optim.mincostflow import FlowState, MinCostFlow
+from repro.optim.mincostflow import MinCostFlow
 from repro.perf.executor import Executor, resolve_executor
-from repro.perf.solvecache import SolveCache, p1_digest, p1_quantized_digest
-from repro.types import FloatArray, is_binary
-
-CachingBackend = Literal["auto", "flow", "lp", "lp-simplex"]
-
-#: ``auto`` uses the combinatorial flow solver up to this many ``(slot,
-#: item)`` cells per SBS and the sparse HiGHS LP above it. Re-measured
-#: after the flow-graph-reuse optimization (measurement table in
-#: EXPERIMENTS.md, "Backend crossover"): with graph reuse the flow solve is
-#: dominated by augmentation, which scales with the cache size, so the true
-#: crossover depends on ``cap`` more than on the cell count. At the paper's
-#: ``cap = 5`` the two backends are within ~10% of each other over
-#: 3000-5000 cells (flow clearly ahead below ~1500); at ``cap >= 10`` HiGHS
-#: wins from ~2000 cells. The cell count stays the rule's proxy because it
-#: is what callers know cheaply; pin :data:`BACKEND_ENV` to override.
-AUTO_FLOW_LIMIT = 5000
-
-def resolve_backend(
-    backend: CachingBackend, cells: int, *, config: RuntimeConfig | None = None
-) -> str:
-    """Resolve ``auto``: config pin, deprecated env pin, or the cell rule.
-
-    Explicit non-``auto`` backends always win. The pin comes from
-    :class:`repro.config.RuntimeConfig` (``caching_backend``) with the
-    deprecated ``REPRO_CACHING_BACKEND`` variable as a fallback.
-    """
-    if backend != "auto":
-        return backend
-    pin = resolved_backend_pin(config)
-    if pin is not None:
-        return pin
-    return "flow" if cells <= AUTO_FLOW_LIMIT else "lp"
+from repro.perf.solvecache import SolveCache, p1_digest
+from repro.types import FloatArray
 
 
 @dataclass(frozen=True)
@@ -110,7 +75,6 @@ def solve_caching(
     mu: FloatArray,
     x_initial: FloatArray,
     *,
-    backend: CachingBackend = "auto",
     executor: Executor | str | None = None,
     config: RuntimeConfig | None = None,
     cache: SolveCache | None = None,
@@ -120,38 +84,18 @@ def solve_caching(
     ``x_initial`` is the 0/1 cache state entering the first slot, shape
     ``(N, K)``; insertions in the first slot are charged against it.
 
-    ``P1`` is exactly separable per SBS, so with an ``executor`` (or a
-    :class:`repro.config.RuntimeConfig`, or the deprecated
-    ``REPRO_WORKERS`` / ``REPRO_EXECUTOR`` environment) the per-SBS solves
-    fan out in parallel; results are reduced in SBS order, bit-identical
-    to the serial path. All runtime knobs — including flow-graph reuse —
-    are resolved here in the parent, so worker processes never consult the
-    environment.
-
-    With a :class:`repro.perf.solvecache.SolveCache` the per-SBS solves
-    become incremental: byte-identical subproblems are answered from the
-    digest-exact memo without solving, and flow-backend misses resume the
-    SBS's previous flow instead of cold-starting. All cache bookkeeping
-    (memo lookups, counter increments, warm-state handoff) happens here in
-    the parent, so results and recorded telemetry stay bit-identical
+    With a :class:`repro.perf.solvecache.SolveCache`, byte-identical
+    per-SBS subproblems are answered from the digest-exact memo without
+    solving. The misses go to the batched pass (:func:`_solve_batched_p1`,
+    counted as ``p1_batched_solves`` / ``p1_batched_fallbacks``; disabled by
+    ``RuntimeConfig(batched=False)``), and whatever it leaves goes to the
+    per-SBS flow. ``P1`` is exactly separable per SBS, so with an
+    ``executor`` (or a :class:`repro.config.RuntimeConfig`) the per-SBS flow
+    solves fan out in parallel; results are reduced in SBS order,
+    bit-identical to the serial path. Memo lookups and counter increments
+    happen here in the parent, so recorded telemetry stays bit-identical
     across executors.
-
-    Two further runtime knobs compose with the memo:
-
-    - the **batched relaxation pass** (``RuntimeConfig(batched=...)``,
-      default on) answers memo misses whose cardinality-relaxed optimum
-      is provably unique and feasible from one vectorized DP over all
-      misses (:func:`_solve_batched_p1`) — counted as
-      ``p1_batched_solves`` / ``p1_batched_fallbacks``;
-    - the **quantized memo key** (``RuntimeConfig(quantized_memo=...)``,
-      opt-in) bands prices to :data:`repro.perf.solvecache.P1_QUANTUM`
-      so near-repeat subproblems hit; cross-band hits re-evaluate the
-      objective against the actual prices and are counted as
-      ``p1_quant_memo_hits``.
     """
-    backend = resolve_backend(backend, mu.shape[0] * network.num_items, config=config)
-    if backend not in ("flow", "lp", "lp-simplex"):
-        raise ConfigurationError(f"unknown caching backend {backend!r}")
     if mu.ndim != 3 or mu.shape[1:] != (network.num_classes, network.num_items):
         raise ConfigurationError(
             f"mu must have shape (T, M, K), got {mu.shape}"
@@ -161,128 +105,77 @@ def solve_caching(
     T = mu.shape[0]
     K = network.num_items
     prices = class_prices(network, mu)
-    reuse = resolved_flow_reuse(config)
-    want_state = cache is not None and backend == "flow"
 
-    quantized = resolved_quantized_memo(config)
     results: list[tuple[FloatArray, float] | None] = [None] * network.num_sbs
     hits_before = cache.hits if cache is not None else 0
-    quant_before = cache.quant_hits if cache is not None else 0
     miss_ns: list[int] = []
-    miss_keys: list[tuple[bytes, bytes | None]] = []
+    miss_keys: list[bytes] = []
     for n in range(network.num_sbs):
-        key: bytes = b""
-        exact_key: bytes | None = None
+        key = b""
         if cache is not None:
-            c_n = prices[:, n, :]
-            beta_n = float(network.replacement_costs[n])
-            cap_n = int(network.cache_sizes[n])
-            x0_n = np.asarray(x_initial[n], dtype=np.float64)
-            exact_key = p1_digest(c_n, beta_n, cap_n, x0_n)
-            if quantized:
-                key = p1_quantized_digest(c_n, beta_n, cap_n, x0_n)
-                banded_hit = cache.lookup_banded(key, exact_key)
-                if banded_hit is not None:
-                    x_hit, obj_hit, banded = banded_hit
-                    if banded:
-                        # Cross-band reuse: the trajectory is valid (the
-                        # feasible set ignores prices) but the stored
-                        # objective belonged to the neighbour's prices.
-                        obj_hit = _objective_single(c_n, beta_n, x_hit, x0_n)
-                    results[n] = (x_hit, obj_hit)
-                    continue
-            else:
-                key = exact_key
-                hit = cache.lookup(key)
-                if hit is not None:
-                    results[n] = hit
-                    continue
+            key = p1_digest(
+                prices[:, n, :],
+                float(network.replacement_costs[n]),
+                int(network.cache_sizes[n]),
+                np.asarray(x_initial[n], dtype=np.float64),
+            )
+            hit = cache.lookup(key)
+            if hit is not None:
+                results[n] = hit
+                continue
         miss_ns.append(n)
-        miss_keys.append((key, exact_key))
+        miss_keys.append(key)
     n_misses = len(miss_ns)
 
-    # Batched relaxation pass: one vectorized DP over every miss at once;
-    # subproblems whose certificate holds are solved here (and memoized),
-    # the rest fall back to the exact per-SBS backends below.
+    # Batched pass: one vectorized DP (plus the capped kernel) over every
+    # miss at once; rows it certifies are solved here, the rest fall back
+    # to the per-SBS flow below.
     if resolved_batched(config) and miss_ns:
-        accepted = _solve_batched_p1(
-            network, prices, x_initial, miss_ns, ties=resolved_batched_ties(config)
-        )
+        accepted = _solve_batched_p1(network, prices, x_initial, miss_ns)
         if accepted:
             kept_ns: list[int] = []
-            kept_keys: list[tuple[bytes, bytes | None]] = []
-            for n, keys in zip(miss_ns, miss_keys):
+            kept_keys: list[bytes] = []
+            for n, key in zip(miss_ns, miss_keys):
                 entry = accepted.get(n)
                 if entry is None:
                     kept_ns.append(n)
-                    kept_keys.append(keys)
+                    kept_keys.append(key)
                     continue
                 results[n] = entry
                 if cache is not None:
-                    cache.store(keys[0], entry[0], entry[1], exact_key=keys[1])
+                    cache.store(key, entry[0], entry[1])
             miss_ns, miss_keys = kept_ns, kept_keys
             inc("p1_batched_solves", len(accepted))
         if miss_ns:
             inc("p1_batched_fallbacks", len(miss_ns))
 
-    tasks = []
-    miss_meta: list[tuple[int, tuple[bytes, bytes | None], tuple[int, int, int, int]]] = []
-    for n, key in zip(miss_ns, miss_keys):
-        c_n = prices[:, n, :]
-        beta_n = float(network.replacement_costs[n])
-        cap_n = int(network.cache_sizes[n])
-        x0_n = np.asarray(x_initial[n], dtype=np.float64)
-        warm: FlowState | None = None
-        state_key = (n, T, K, cap_n)
-        ws = want_state
-        if cache is not None and want_state:
-            if cache.is_resume_disabled(state_key):
-                # Resume is permanently off for this key: skip the state
-                # export too — nothing will ever consume it.
-                ws = False
-            else:
-                warm = cache.warm_state_for(state_key)
-        miss_meta.append((n, key, state_key))
-        tasks.append((c_n, beta_n, cap_n, x0_n, backend, reuse, warm, ws))
-
+    tasks = [
+        (
+            prices[:, n, :],
+            float(network.replacement_costs[n]),
+            int(network.cache_sizes[n]),
+            np.asarray(x_initial[n], dtype=np.float64),
+        )
+        for n in miss_ns
+    ]
     ex = resolve_executor(executor, config=config)
     if ex.workers > 1 and len(tasks) > 1:
         solved = ex.map(_solve_sbs_task, tasks)
     else:
         solved = [_solve_sbs_task(task) for task in tasks]
-
-    resumes = bailouts = disabled = 0
-    for (n, key, state_key), (xn, obj, state, resumed, bailed) in zip(
-        miss_meta, solved
-    ):
+    for n, key, (xn, obj) in zip(miss_ns, miss_keys, solved):
         results[n] = (xn, obj)
         if cache is not None:
-            cache.store(key[0], xn, obj, exact_key=key[1])
-            if state is not None:
-                cache.flow_states[state_key] = state
-            if resumed:
-                disabled += cache.note_resume(state_key, bool(bailed))
-            cache.warm_resumes += resumed
-            cache.warm_bailouts += bailed
-            resumes += resumed
-            bailouts += bailed
+            cache.store(key, xn, obj)
+
     if cache is not None:
         hits = cache.hits - hits_before
         if hits:
             inc("p1_memo_hits", hits)
         if n_misses:
             # Memo misses count every digest lookup that missed, including
-            # those the batched relaxation pass answered.
+            # those the batched pass answered.
             inc("p1_memo_misses", n_misses)
-        qhits = cache.quant_hits - quant_before
-        if qhits:
-            inc("p1_quant_memo_hits", qhits)
-        if resumes:
-            inc("flow_warm_resumes", resumes)
-        if bailouts:
-            inc("flow_warm_bailouts", bailouts)
-        if disabled:
-            inc("flow_warm_disabled_keys", disabled)
 
     x = np.zeros((T, network.num_sbs, K))
     objective = 0.0
@@ -295,25 +188,10 @@ def solve_caching(
 
 
 def _solve_sbs_task(
-    task: tuple[FloatArray, float, int, FloatArray, str, bool, "FlowState | None", bool],
-) -> tuple[FloatArray, float, "FlowState | None", int, int]:
-    """One SBS's ``P1`` solve — module-level so process executors can use it.
-
-    Returns ``(x, objective, flow_state, warm_resumes, warm_bailouts)``;
-    the last three are ``(None, 0, 0)`` unless the caller asked for warm
-    state (flow backend with an active :class:`SolveCache`).
-    """
-    c, beta, cap, x0, backend, reuse, warm, want_state = task
-    if backend == "flow":
-        if want_state:
-            return _solve_single_sbs_flow(
-                c, beta, cap, x0, reuse=reuse, warm_state=warm, want_state=True
-            )
-        xn, obj = _solve_single_sbs_flow(c, beta, cap, x0, reuse=reuse)
-        return xn, obj, None, 0, 0
-    lp_backend = "scipy" if backend == "lp" else "simplex"
-    xn, obj = _solve_single_sbs_lp(c, beta, cap, x0, lp_backend=lp_backend)
-    return xn, obj, None, 0, 0
+    task: tuple[FloatArray, float, int, FloatArray],
+) -> tuple[FloatArray, float]:
+    """One SBS's ``P1`` solve — module-level so process executors can use it."""
+    return _solve_single_sbs_flow(*task)
 
 
 def caching_objective(
@@ -345,8 +223,6 @@ def _relaxed_dp_stack(
     beta: FloatArray,
     X0: FloatArray,
     caps: FloatArray,
-    *,
-    ties: bool,
 ) -> tuple[FloatArray, FloatArray]:
     """Canonical cardinality-relaxed ``P1`` DP over a stack of SBSs.
 
@@ -356,7 +232,7 @@ def _relaxed_dp_stack(
     ``t = 0`` for initially cached items) — solved for every (SBS, item)
     pair of the ``(B, T, K)`` stack simultaneously by one two-state DP
     over the horizon. Every elementwise operation here is independent of
-    ``B``, so the ``B = 1`` call a per-SBS backend makes produces bitwise
+    ``B``, so the ``B = 1`` call the per-SBS flow makes produces bitwise
     the rows a stacked call would (the property
     ``tests/test_batched.py::TestP1Ties`` pins).
 
@@ -369,15 +245,11 @@ def _relaxed_dp_stack(
 
     Acceptance (the returned ``ok`` mask) requires
 
-    * **certified decisions**: with ``ties=True`` every margin along the
-      backtracked path is either exactly ``0.0`` (a structural tie — the
-      canonical branch is taken) or strict beyond the float danger band
+    * **certified decisions**: every margin along the backtracked path is
+      either exactly ``0.0`` (a structural tie — the canonical branch is
+      taken) or strict beyond the float danger band
       ``16 * eps * max(T, 4) * max(1, beta, max |c|)``, and the path's
-      value re-folds bitwise to the DP optimum; with ``ties=False`` the
-      legacy strict-margin rule (every on-path margin above
-      ``1e-9 * max(1, beta, max |c|)``) — bitwise the pre-tie-aware
-      acceptance set, because flipping the tie direction of a decision
-      can only matter on paths the legacy rule already rejected; and
+      value re-folds bitwise to the DP optimum; and
     * **cap feasibility**: the relaxed optimum satisfies the per-slot
       cardinality caps.
 
@@ -392,14 +264,11 @@ def _relaxed_dp_stack(
     scale = np.maximum(
         1.0, np.maximum(bcol[:, 0], np.abs(C).max(axis=(1, 2)) if K else 0.0)
     )[:, None]
-    if ties:
-        # Path values are <= T-term float sums: their error is below
-        # T * eps * scale, so margins beyond this band cannot change sign
-        # under any evaluation order, and nonzero margins inside it are
-        # treated as unsafe rather than as ties.
-        tol = (16.0 * _DP_EPS * max(T, 4)) * scale
-    else:
-        tol = 1e-9 * scale
+    # Path values are <= T-term float sums: their error is below
+    # T * eps * scale, so margins beyond this band cannot change sign under
+    # any evaluation order, and nonzero margins inside it are treated as
+    # unsafe rather than as ties.
+    tol = (16.0 * _DP_EPS * max(T, 4)) * scale
 
     # Forward pass: V1/V0 = best profit with the item cached/uncached in
     # slot t.
@@ -426,31 +295,30 @@ def _relaxed_dp_stack(
     x = np.zeros((B, T, K))
     state = V1 > V0  # cache in the last slot only on strict gain
     mfin = np.abs(V1 - V0)
-    fail = ((mfin > 0.0) & (mfin <= tol)) if ties else (mfin <= tol)
+    fail = (mfin > 0.0) & (mfin <= tol)
     for t in range(T - 1, 0, -1):
         x[:, t, :] = state
         m = np.where(state, m1[t], m0[t])
-        fail |= ((m > 0.0) & (m <= tol)) if ties else (m <= tol)
+        fail |= (m > 0.0) & (m <= tol)
         state = np.where(state, take1[t], ~take0[t])
     x[:, 0, :] = state
 
-    if ties:
-        # Fold the backtracked path's value with the DP's exact operation
-        # order and require bitwise agreement with the DP optimum — a
-        # belt-and-braces guard that the tie-resolved path really attains
-        # the optimal value (any pointer/value inconsistency fails here).
-        on = x[:, 0, :] > 0.5
-        acc = np.where(on, C[:, 0, :] - fetch0, 0.0)
-        for t in range(1, T):
-            on = x[:, t, :] > 0.5
-            was = x[:, t - 1, :] > 0.5
-            acc = np.where(
-                on & ~was,
-                (acc - bcol) + C[:, t, :],
-                np.where(on & was, acc + C[:, t, :], acc),
-            )
-        final = np.where(x[:, T - 1, :] > 0.5, V1, V0)
-        fail |= acc != final
+    # Fold the backtracked path's value with the DP's exact operation order
+    # and require bitwise agreement with the DP optimum — a belt-and-braces
+    # guard that the tie-resolved path really attains the optimal value
+    # (any pointer/value inconsistency fails here).
+    on = x[:, 0, :] > 0.5
+    acc = np.where(on, C[:, 0, :] - fetch0, 0.0)
+    for t in range(1, T):
+        on = x[:, t, :] > 0.5
+        was = x[:, t - 1, :] > 0.5
+        acc = np.where(
+            on & ~was,
+            (acc - bcol) + C[:, t, :],
+            np.where(on & was, acc + C[:, t, :], acc),
+        )
+    final = np.where(x[:, T - 1, :] > 0.5, V1, V0)
+    fail |= acc != final
 
     counts = x.sum(axis=2)
     ok = ~fail.any(axis=1) & (counts <= np.asarray(caps)[:, None]).all(axis=1)
@@ -462,24 +330,24 @@ def _certified_canonical(
 ) -> tuple[FloatArray, float] | None:
     """The canonical certified-exact ``P1`` optimum for one SBS, if any.
 
-    Runs :func:`_relaxed_dp_stack` with ``B = 1`` under the tie-aware
-    certificate; when the canonical relaxed optimum certifies and fits the
-    cap it *is* an optimum of the constrained problem. Cap-bound rows — the
-    relaxed optimum over-caps, which is the common case on the paper's
-    uniform-cost scenarios — go to the exact cap-constrained kernel
+    Runs :func:`_relaxed_dp_stack` with ``B = 1``; when the canonical
+    relaxed optimum certifies and fits the cap it *is* an optimum of the
+    constrained problem. Cap-bound rows — the relaxed optimum over-caps,
+    which is the common case on the paper's uniform-cost scenarios — go to
+    the exact cap-constrained kernel
     (:func:`repro.core.capped.capped_cancel_stack`) instead. Either way the
-    predicate is exactly the one the batched pass applies, so a per-SBS
-    backend that answers from it returns bitwise what the batched pass
-    would have returned for the same row: tie resolution is uniform across
-    every solve path by construction, not by reverse-engineering any
-    backend's internal order. Returns ``(x, objective)``, or ``None`` when
-    neither kernel certifies (the backend's own exact solve takes over).
+    predicate is exactly the one the batched pass applies, so the per-SBS
+    flow, which answers from it first, returns bitwise what the batched
+    pass would have returned for the same row: tie resolution is uniform
+    across both paths by construction, not by reverse-engineering the
+    flow's internal order. Returns ``(x, objective)``, or ``None`` when
+    neither kernel certifies (the flow's own exact solve takes over).
     """
     C = np.ascontiguousarray(c, dtype=np.float64)[None]
     beta_arr = np.asarray([float(beta)], dtype=np.float64)
     X0 = np.asarray(x0, dtype=np.float64)[None]
     caps = np.asarray([cap], dtype=np.float64)
-    x, ok = _relaxed_dp_stack(C, beta_arr, X0, caps, ties=True)
+    x, ok = _relaxed_dp_stack(C, beta_arr, X0, caps)
     if not bool(ok[0]):
         x, ok = capped_cancel_stack(C, beta_arr, X0, caps)
         if not bool(ok[0]):
@@ -493,30 +361,21 @@ def _solve_batched_p1(
     prices: FloatArray,
     x_initial: FloatArray,
     ns: list[int],
-    *,
-    ties: bool = True,
 ) -> dict[int, tuple[FloatArray, float]]:
     """Vectorized certified-exact ``P1`` over a stack of SBSs.
 
     Two stages per memory-bounded chunk. One :func:`_relaxed_dp_stack`
     call answers every row whose certified relaxed optimum fits the cap;
-    the cap-bound remainder — the storm case on the paper's uniform-cost
+    the cap-bound remainder — the common case on the paper's uniform-cost
     scenarios, where the relaxed optimum over-caps on (nearly) every row —
     goes to the exact cap-constrained cancel kernel
     (:func:`repro.core.capped.capped_cancel_stack`, counted as
     ``p1_batched_capped``). Only rows neither stage certifies fall back to
-    the per-SBS backends.
-
-    ``ties=True`` (the default, governed by
-    ``RuntimeConfig(batched_ties=...)`` / ``REPRO_BATCHED_TIES``) enables
-    the canonical tie discipline and the capped stage; ``ties=False``
-    restores the legacy strict-margin-only acceptance, which rejects every
-    tied or cap-bound row — the acceptance *rate* A/B CI runs. Either way
-    the accepted answers are bitwise what the per-SBS backends return,
-    because those backends answer from the same
-    :func:`_certified_canonical` predicate first. Returns
-    ``{n: (x, objective)}`` for the accepted SBSs, objectives evaluated by
-    :func:`_objective_single` exactly as the per-SBS backends do.
+    the per-SBS flow. The accepted answers are bitwise what the flow
+    returns, because it answers from the same :func:`_certified_canonical`
+    predicate first. Returns ``{n: (x, objective)}`` for the accepted SBSs,
+    objectives evaluated by :func:`_objective_single` exactly as the flow
+    does.
     """
     T = prices.shape[0]
     K = network.num_items
@@ -530,7 +389,7 @@ def _solve_batched_p1(
         beta = network.replacement_costs[sel].astype(np.float64)
         caps = np.asarray(network.cache_sizes[sel])
         X0 = np.asarray(x_initial[sel], dtype=np.float64)
-        x, ok = _relaxed_dp_stack(C, beta, X0, caps, ties=ties)
+        x, ok = _relaxed_dp_stack(C, beta, X0, caps)
         for b in np.flatnonzero(ok):
             xb = x[b]
             out[int(sel[b])] = (
@@ -538,7 +397,7 @@ def _solve_batched_p1(
                 _objective_single(C[b], float(beta[b]), xb, X0[b]),
             )
         rest = np.flatnonzero(~ok)
-        if ties and rest.size:
+        if rest.size:
             xc, okc = capped_cancel_stack(C[rest], beta[rest], X0[rest], caps[rest])
             for i in np.flatnonzero(okc):
                 b = int(rest[i])
@@ -555,72 +414,10 @@ def _solve_batched_p1(
 
 # ----------------------------------------------------------------- flow back
 
-@dataclass
-class _FlowTemplate:
-    """A built caching-flow graph, reusable across solves of one shape.
-
-    The arc topology depends only on ``(T, K, cap)``; the dual prices (hold
-    costs) and ``(beta, x0)`` (fetch costs) change between solves, so they
-    are rewritten in place via :meth:`MinCostFlow.set_all_arc_costs` and
-    the flow rewound with :meth:`MinCostFlow.reset`. ``base_costs`` is the
-    id-indexed all-user-arc cost vector with the structural (always-zero)
-    arcs filled in, so a solve only scatters the fetch/hold costs into a
-    copy of it.
-    """
-
-    graph: MinCostFlow
-    fetch_arcs: "np.ndarray"  # (T, K) arc ids, cost = beta or 0
-    hold_arcs: "np.ndarray"  # (T, K) arc ids, cost = -c[t, k]
-    base_costs: "np.ndarray"  # (num_user_arcs,) zeros
-    src: int
-    snk: int
-
-
-def _build_flow_template(T: int, K: int, cap: int) -> _FlowTemplate:
-    """Construct the caching-flow topology with placeholder costs.
-
-    Nodes: free-slot hubs ``F_0..F_T`` plus an in/out pair per ``(k, t)``.
-    A unit of flow is one cache slot; holding content ``k`` during slot
-    ``t`` routes through ``(k,t)_in -> (k,t)_out`` (gain ``c[t,k]``),
-    entering from a hub costs ``beta`` (free at ``t=0`` for initially
-    cached contents).
-    """
-
-    def hub(t: int) -> int:
-        return t  # 0..T
-
-    def node_in(k: int, t: int) -> int:
-        return (T + 1) + 2 * (t * K + k)
-
-    def node_out(k: int, t: int) -> int:
-        return (T + 1) + 2 * (t * K + k) + 1
-
-    num_nodes = (T + 1) + 2 * T * K + 2
-    src = num_nodes - 2
-    snk = num_nodes - 1
-    g = MinCostFlow(num_nodes)
-    g.add_arc(src, hub(0), cap, 0.0)
-    for t in range(T):
-        g.add_arc(hub(t), hub(t + 1), cap, 0.0)
-    g.add_arc(hub(T), snk, cap, 0.0)
-
-    fetch_arcs = np.empty((T, K), dtype=np.int64)
-    hold_arcs = np.empty((T, K), dtype=np.int64)
-    for t in range(T):
-        for k in range(K):
-            fetch_arcs[t, k] = g.add_arc(hub(t), node_in(k, t), 1, 0.0)
-            hold_arcs[t, k] = g.add_arc(node_in(k, t), node_out(k, t), 1, 0.0)
-            g.add_arc(node_out(k, t), hub(t + 1), 1, 0.0)
-            if t + 1 < T:
-                g.add_arc(node_out(k, t), node_in(k, t + 1), 1, 0.0)
-    base_costs = np.zeros(g._num_user_arcs, dtype=np.float64)
-    return _FlowTemplate(g, fetch_arcs, hold_arcs, base_costs, src, snk)
-
-
 def _initial_potentials_dag(c: FloatArray, fetch_costs: FloatArray) -> list[float]:
     """Closed-form shortest distances on the empty caching flow.
 
-    The generic topological pass walks every arc of the template in Kahn
+    The generic topological pass walks every arc of the graph in Kahn
     order; the caching DAG's layered structure lets the same distances be
     computed by a vectorized forward DP over slots instead. Exactness
     matters: each node's distance is a min over incoming path sums whose
@@ -650,200 +447,76 @@ def _initial_potentials_dag(c: FloatArray, fetch_costs: FloatArray) -> list[floa
     return potentials.tolist()
 
 
-# Templates are checked out under a lock so concurrent thread-executor
-# solves never share a graph; each process has its own pool.
-_TEMPLATE_POOL: dict[tuple[int, int, int], list[_FlowTemplate]] = {}
-_TEMPLATE_LOCK = threading.Lock()
-_TEMPLATE_POOL_LIMIT = 8  # per (T, K, cap); bounds memory under thread fan-out
-
-
-def _acquire_template(T: int, K: int, cap: int) -> _FlowTemplate:
-    with _TEMPLATE_LOCK:
-        pool = _TEMPLATE_POOL.get((T, K, cap))
-        if pool:
-            return pool.pop()
-    return _build_flow_template(T, K, cap)
-
-
-def _release_template(T: int, K: int, cap: int, template: _FlowTemplate) -> None:
-    with _TEMPLATE_LOCK:
-        pool = _TEMPLATE_POOL.setdefault((T, K, cap), [])
-        if len(pool) < _TEMPLATE_POOL_LIMIT:
-            pool.append(template)
-
-
 def _solve_single_sbs_flow(
     c: FloatArray,
     beta: float,
     cap: int,
     x0: FloatArray,
     *,
-    reuse: bool | None = None,
-    warm_state: FlowState | None = None,
-    want_state: bool = False,
     canonical: bool = True,
-):
-    """Min-cost-flow solve for one SBS (see :func:`_build_flow_template`).
+) -> tuple[FloatArray, float]:
+    """Min-cost-flow solve for one SBS on a freshly built caching graph.
+
+    Nodes: free-slot hubs ``F_0..F_T`` plus an in/out pair per ``(k, t)``.
+    A unit of flow is one cache slot; holding content ``k`` during slot
+    ``t`` routes through ``(k,t)_in -> (k,t)_out`` (gain ``c[t,k]``),
+    entering from a hub costs ``beta`` (free at ``t=0`` for initially
+    cached contents).
 
     Tie-degenerate subproblems are answered by :func:`_certified_canonical`
     before any flow work: the flow's own tie resolution is an accident of
-    Dijkstra settle order and the potentials earlier augmentations left
-    behind, so imposing the canonical discipline here (and identically in
-    the LP backend and the batched pass) is what makes every solve path
-    return the same bits on degenerate instances. ``canonical=False``
-    exposes the raw flow answer — tests use it to verify the canonical
-    trajectory attains the flow's optimal objective.
-
-    ``reuse`` pools the built graph across solves of the same shape
-    (default on; ``RuntimeConfig(flow_reuse=False)`` or the deprecated
-    ``REPRO_FLOW_REUSE=0`` disables). A reused solve is bit-identical to a
-    fresh-graph solve: the rewound capacities and rewritten costs
-    reproduce the exact graph a fresh build would create.
-
-    Returns ``(x, objective)``; with ``want_state=True`` the return is
-    ``(x, objective, flow_state, warm_resumes, warm_bailouts)`` and, when
-    ``warm_state`` is given, the solve resumes from it
-    (:meth:`repro.optim.mincostflow.MinCostFlow.resume`) instead of
-    cold-starting.
+    Dijkstra settle order, so imposing the canonical discipline here (and
+    identically in the batched pass) is what makes both paths return the
+    same bits on degenerate instances. ``canonical=False`` exposes the raw
+    flow answer — tests use it to verify the canonical trajectory attains
+    the flow's optimal objective. Returns ``(x, objective)``.
     """
     T, K = c.shape
     if cap == 0:
-        zero = np.zeros((T, K))
-        return (zero, 0.0, None, 0, 0) if want_state else (zero, 0.0)
+        return np.zeros((T, K)), 0.0
     if canonical:
         canon = _certified_canonical(c, beta, cap, x0)
         if canon is not None:
-            xc, objc = canon
-            return (xc, objc, None, 0, 0) if want_state else (xc, objc)
-    if reuse is None:
-        reuse = resolved_flow_reuse(None)
+            return canon
 
-    template = _acquire_template(T, K, cap) if reuse else _build_flow_template(T, K, cap)
-    g = template.graph
     fetch_costs = np.full((T, K), float(beta))
     fetch_costs[0, np.asarray(x0) > 0.5] = 0.0
-    costs = template.base_costs.copy()
-    costs[template.fetch_arcs.reshape(-1)] = fetch_costs.reshape(-1)
-    costs[template.hold_arcs.reshape(-1)] = -np.asarray(c, dtype=np.float64).reshape(-1)
-    g.set_all_arc_costs(costs)
-    potentials = _initial_potentials_dag(c, fetch_costs)
+    hold_costs = -np.asarray(c, dtype=np.float64)
 
-    resumed = bailed = 0
-    if warm_state is not None:
-        result = g.resume(
-            template.src,
-            template.snk,
-            cap,
-            warm_state,
-            dag=True,
-            initial_potentials=potentials,
-        )
-        resumed = 1
-        bailed = int(g.last_resume_bailed)
-    else:
-        g.reset()
-        result = g.solve(
-            template.src, template.snk, cap, dag=True, initial_potentials=potentials
-        )
-    state = g.export_state() if want_state else None
-    x = result.arc_flow[template.hold_arcs]
-    if reuse:
-        _release_template(T, K, cap, template)
+    def node_in(k: int, t: int) -> int:
+        return (T + 1) + 2 * (t * K + k)
+
+    num_nodes = (T + 1) + 2 * T * K + 2
+    src = num_nodes - 2
+    snk = num_nodes - 1
+    g = MinCostFlow(num_nodes)
+    g.add_arc(src, 0, cap, 0.0)
+    for t in range(T):
+        g.add_arc(t, t + 1, cap, 0.0)
+    g.add_arc(T, snk, cap, 0.0)
+    hold_arcs = np.empty((T, K), dtype=np.int64)
+    for t in range(T):
+        for k in range(K):
+            n_in = node_in(k, t)
+            g.add_arc(t, n_in, 1, fetch_costs[t, k])
+            hold_arcs[t, k] = g.add_arc(n_in, n_in + 1, 1, hold_costs[t, k])
+            g.add_arc(n_in + 1, t + 1, 1, 0.0)
+            if t + 1 < T:
+                g.add_arc(n_in + 1, node_in(k, t + 1), 1, 0.0)
+
+    result = g.solve(
+        src,
+        snk,
+        cap,
+        dag=True,
+        initial_potentials=_initial_potentials_dag(c, fetch_costs),
+    )
     if result.amount != cap:
         raise SolverError(
             f"caching flow routed {result.amount}/{cap} units; graph is malformed"
         )
-    x = np.where(x > 0.5, 1.0, 0.0)
-    obj = _objective_single(c, beta, x, x0)
-    if want_state:
-        return x, obj, state, resumed, bailed
-    return x, obj
-
-
-# ------------------------------------------------------------------- LP back
-
-def _solve_single_sbs_lp(
-    c: FloatArray,
-    beta: float,
-    cap: int,
-    x0: FloatArray,
-    *,
-    lp_backend: str,
-    canonical: bool = True,
-) -> tuple[FloatArray, float]:
-    """Sparse LP of Eqs. 20-22 for one SBS; snaps and validates integrality.
-
-    Like the flow backend, tie-degenerate subproblems are answered by
-    :func:`_certified_canonical` first so every backend resolves ties with
-    the same canonical discipline (the LP's vertex choice on a degenerate
-    optimal face is solver-internal and not reproducible across backends).
-    """
-    if canonical and cap > 0:
-        canon = _certified_canonical(c, beta, cap, x0)
-        if canon is not None:
-            return canon
-    T, K = c.shape
-    n_x = T * K
-
-    # Objective: -c on x, beta on p.
-    cost = np.concatenate([-c.reshape(-1), np.full(n_x, beta)])
-
-    cells = np.arange(n_x)
-    # Capacity rows (one per slot): sum_k x[t,k] <= cap.
-    cap_rows = np.repeat(np.arange(T), K)
-    cap_cols = cells
-    cap_vals = np.ones(n_x)
-    # Switching rows (one per cell): x[t,k] - x[t-1,k] - p[t,k] <= [t=0] x0[k].
-    sw_rows = T + cells
-    later = cells[K:]  # cells with t > 0
-    rows_all = np.concatenate([cap_rows, sw_rows, T + later, sw_rows])
-    cols_all = np.concatenate([cap_cols, cells, later - K, n_x + cells])
-    vals_all = np.concatenate(
-        [cap_vals, np.ones(n_x), -np.ones(n_x - K), -np.ones(n_x)]
-    )
-    b_ub = np.concatenate([np.full(T, float(cap)), x0.astype(np.float64), np.zeros(n_x - K)])
-
-    A_ub = scipy.sparse.csr_matrix(
-        (vals_all, (rows_all, cols_all)), shape=(T + n_x, 2 * n_x)
-    )
-    lo = np.zeros(2 * n_x)
-    hi = np.concatenate([np.ones(n_x), np.full(n_x, np.inf)])
-
-    if lp_backend == "scipy":
-        res = scipy.optimize.linprog(
-            cost,
-            A_ub=A_ub,
-            b_ub=np.asarray(b_ub),
-            bounds=np.column_stack([lo, hi]),
-            method="highs",
-        )
-        if not res.success:
-            raise SolverError(f"HiGHS failed on P1: {res.message}")
-        raw = np.asarray(res.x[:n_x]).reshape(T, K)
-    else:
-        result = solve_lp(
-            cost,
-            A_ub=A_ub.toarray(),
-            b_ub=np.asarray(b_ub),
-            lo=lo,
-            hi=hi,
-            backend="simplex",
-        )
-        raw = result.x[:n_x].reshape(T, K)
-
-    snapped = np.where(raw > 0.5, 1.0, 0.0)
-    if not is_binary(raw, atol=1e-5):
-        # A degenerate optimal face can contain fractional points; verify the
-        # snap did not change the objective before accepting it.
-        raw_obj = _objective_single(c, beta, raw, x0, fractional=True)
-        snap_obj = _objective_single(c, beta, snapped, x0)
-        if snap_obj > raw_obj + 1e-6 * max(1.0, abs(raw_obj)):
-            raise SolverError(
-                "LP returned a fractional P1 solution that does not snap cleanly; "
-                "this contradicts total unimodularity and indicates a solver issue"
-            )
-    obj = _objective_single(c, beta, snapped, x0)
-    return snapped, obj
+    x = np.where(result.arc_flow[hold_arcs] > 0.5, 1.0, 0.0)
+    return x, _objective_single(c, beta, x, x0)
 
 
 def _objective_single(
@@ -851,8 +524,6 @@ def _objective_single(
     beta: float,
     x: FloatArray,
     x0: FloatArray,
-    *,
-    fractional: bool = False,
 ) -> float:
     # Per-slot reductions are vectorized; the scalar accumulation stays a
     # t-ordered loop so the result is bitwise what the original per-slot

@@ -16,9 +16,10 @@ value is ``max_e sum_{t<e} c[t,k] - beta * [k not initially cached]``; take
 the top-``cap`` strictly-profitable items (stable order), each held on its own
 best prefix (smallest argmax — leave as early as possible, matching the
 relaxation pass's prefer-uncached tie discipline). The candidate is a feasible
-integral flow of the caching network (:func:`_build_flow_template`'s
-topology). By flow theory a feasible flow is minimum-cost **iff its residual
-graph admits no negative-cost cycle**, so:
+integral flow of the caching network (the topology
+:func:`repro.core.caching_lp._solve_single_sbs_flow` builds). By flow theory a
+feasible flow is minimum-cost **iff its residual graph admits no negative-cost
+cycle**, so:
 
 1. **Check** (batched, no parent tracking): label-correcting Bellman sweeps
    over the residual graph — one forward and one backward pass over the
@@ -37,19 +38,18 @@ On the captured headline fallback storm the candidate is already optimal for
 Exactness and floats
 --------------------
 An accepted row is a flow with no strictly-improving residual relaxation under
-float arithmetic — the same epistemic class as the min-cost-flow backend's own
+float arithmetic — the same epistemic class as the min-cost flow fallback's own
 optimality condition (both compare float path costs). The cancel phase gates
 updates by the relaxation pass's danger band ``16 * eps * max(T, 4) * scale``
 and accepts a residual cycle whose true gain is within the band as a tie, so
 sub-band float ambiguity never drives a flip. On all 1278 captured storm rows
-the kernel's objective equals the flow backend's bitwise.
+the kernel's objective equals the flow fallback's bitwise.
 
 Every elementwise operation here is independent of the stack size ``B``
 (reductions run over items and the horizon only), so a ``B = 1`` call made by
-a per-SBS backend produces bitwise the row a stacked call would — the same
+the per-SBS flow produces bitwise the row a stacked call would — the same
 shared-kernel property the relaxation pass maintains, and the reason the
-batched pass and the per-SBS fallbacks stay cost-identical under the
-``batched_ties`` A/B.
+batched pass and the per-SBS flow fallback stay cost-identical.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ __all__ = ["capped_cancel_stack"]
 _EPS = float(np.finfo(np.float64).eps)
 _INF = float("inf")
 
-#: Cancel rounds before a row is given up to the per-SBS backends. The
+#: Cancel rounds before a row is given up to the per-SBS flow fallback. The
 #: captured storm needs at most 4; each round removes one negative cycle, so
 #: hitting this bound means the candidate was unusually far from optimal.
 MAX_ROUNDS = 10
@@ -259,7 +259,7 @@ def _cancel_round_single(
     the hold-arc flips. Returns ``("optimal", None)`` on a fixed point,
     ``("cycle", flips)`` when an improving cycle is extracted, and
     ``("stuck", None)`` when the budget ends ambiguously (defensive; hands
-    the row to the exact per-SBS backends).
+    the row to the exact per-SBS flow fallback).
     """
     T, K = c.shape
     on = x > 0.5
@@ -396,7 +396,7 @@ def capped_cancel_stack(
 
     Returns ``(x, ok)``: trajectories and the mask of rows solved to
     certified optimality. Rows with ``~ok`` (budget exhaustion — never
-    observed on the captured storm) must go to the per-SBS exact backends;
+    observed on the captured storm) must go to the per-SBS flow fallback;
     their ``x`` slices are meaningless.
     """
     B, T, K = C.shape
@@ -446,7 +446,7 @@ def capped_cancel_stack(
                     keep.append(int(b))
                 # An infeasible flip set cannot happen for a true residual
                 # cycle; if it ever does, the row silently falls back to the
-                # exact per-SBS backends.
+                # exact per-SBS flow fallback.
         active = np.asarray(keep, dtype=np.intp)
         if active.size == 0:
             break

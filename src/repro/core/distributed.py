@@ -119,10 +119,11 @@ def solve_distributed(
 
     Every SBS runs Algorithm 1 locally; nothing is exchanged. The merged
     bounds are sums of the local bounds (valid because the objective and
-    constraints are separable). With an ``executor`` (or ``REPRO_WORKERS``
-    set) the independent controllers run in parallel — they would run on
-    separate machines in a real deployment — and the merge happens in
-    fixed SBS order, so the result is bit-identical to the serial path.
+    constraints are separable). With a parallel ``executor`` (e.g.
+    ``"process:4"``) the independent controllers run concurrently — they
+    would run on separate machines in a real deployment — and the merge
+    happens in fixed SBS order, so the result is bit-identical to the
+    serial path.
     """
     net = problem.network
     x = np.zeros(problem.x_shape)

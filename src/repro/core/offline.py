@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.caching_lp import CachingBackend
 from repro.core.polish import polish_caching
 from repro.core.primal_dual import PrimalDualResult, solve_primal_dual
 from repro.core.problem import JointProblem
@@ -66,8 +65,6 @@ class OfflineOptimal:
         Outer subgradient iteration cap.
     gap_tol:
         Relative duality-gap tolerance (paper's ``epsilon = 1e-4``).
-    caching_backend:
-        ``P1`` backend (``"auto"`` default; ``"lp"`` for cross-checks).
     ub_patience:
         Optional early stop when the feasible cost stops improving; set to
         ``None`` when a tight dual certificate is the point of the run.
@@ -79,7 +76,6 @@ class OfflineOptimal:
 
     max_iter: int = 200
     gap_tol: float = DEFAULT_GAP_TOL
-    caching_backend: CachingBackend = "auto"
     ub_patience: int | None = 25
     polish: bool = True
     seed_candidates: bool = True
@@ -105,7 +101,6 @@ class OfflineOptimal:
             problem,
             max_iter=self.max_iter,
             gap_tol=self.gap_tol,
-            caching_backend=self.caching_backend,
             ub_patience=self.ub_patience,
             initial_candidates=candidates,
         )

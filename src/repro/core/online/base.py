@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import RuntimeConfig, resolved_incremental
-from repro.core.caching_lp import CachingBackend
 from repro.core.primal_dual import PrimalDualResult, solve_primal_dual
 from repro.faults.degrade import (
     degraded_network,
@@ -50,8 +49,6 @@ class OnlineSolveSettings:
         default — windows are small and warm-started).
     gap_tol:
         Relative duality-gap target per window.
-    caching_backend:
-        ``P1`` backend for window solves.
     ub_patience:
         Stop a window solve early once the best feasible candidate has not
         improved for this many iterations — the committed trajectory is
@@ -66,15 +63,14 @@ class OnlineSolveSettings:
         Whether the incremental re-solve layer is active for this
         controller: every window seeds the previous window's committed
         trajectory (shifted to the new slots) as a feasible incumbent, and
-        one :class:`repro.perf.solvecache.SolveCache` — ``P1`` memo plus
-        warm flow states — is carried across the whole window sequence.
+        one :class:`repro.perf.solvecache.SolveCache` (the ``P1`` memo) is
+        carried across the whole window sequence.
         ``None`` (default) defers to ``RuntimeConfig(incremental=...)`` /
         ``REPRO_INCREMENTAL`` (default on).
     """
 
     max_iter: int = 40
     gap_tol: float = 1e-3
-    caching_backend: CachingBackend = "auto"
     ub_patience: int | None = 8
     max_seconds: float | None = None
     incremental: bool | None = None
@@ -116,7 +112,7 @@ def solve_window(
     capacities (warm restart from the last feasible point); on the
     fault-free path the seeding is gated by ``settings.incremental``
     (cross-window reuse, default on). ``solve_cache`` carries the ``P1``
-    memo and warm flow states across the caller's whole window sequence.
+    memo across the caller's whole window sequence.
     """
     predicted = scenario.predictor.predict_window(
         max(decided_at, 0), window_start, window
@@ -162,7 +158,6 @@ def solve_window(
             problem,
             max_iter=settings.max_iter,
             gap_tol=settings.gap_tol,
-            caching_backend=settings.caching_backend,
             mu0=mu0,
             ub_patience=settings.ub_patience,
             initial_candidates=candidates,
@@ -175,7 +170,7 @@ def solve_window(
 def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
     """Report a plan's :class:`SolveCache` counters, labeled per controller.
 
-    The unlabeled ``p1_memo_*`` / ``flow_warm_*`` counters accumulate
+    The unlabeled ``p1_memo_*`` counters accumulate
     per-call inside ``solve_caching``; these labeled totals additionally
     attribute the reuse to the controller whose plan owned the cache (the
     benchmark report reads them per policy).
@@ -187,10 +182,6 @@ def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
         inc("p1_memo_hits", cache.hits, labels=labels)
     if cache.misses:
         inc("p1_memo_misses", cache.misses, labels=labels)
-    if cache.warm_resumes:
-        inc("flow_warm_resumes", cache.warm_resumes, labels=labels)
-    if cache.warm_bailouts:
-        inc("flow_warm_bailouts", cache.warm_bailouts, labels=labels)
 
 
 def shift_mu(mu: FloatArray, shift: int) -> FloatArray:

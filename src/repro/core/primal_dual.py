@@ -32,7 +32,7 @@ from typing import Literal, Mapping
 import numpy as np
 
 from repro.config import RuntimeConfig, resolved_incremental
-from repro.core.caching_lp import CachingBackend, solve_caching
+from repro.core.caching_lp import solve_caching
 from repro.core.load_balancing import solve_p2, solve_y_given_x
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
@@ -112,7 +112,7 @@ def solve_primal_dual(
     step: StepMode = "polyak",
     alpha: float = 0.05,
     polyak_relax: float = 1.0,
-    caching_backend: CachingBackend = "flow",
+    caching_backend: str = "flow",
     mu0: FloatArray | None = None,
     ub_patience: int | None = None,
     initial_candidates: tuple[FloatArray, ...] | None = None,
@@ -135,6 +135,11 @@ def solve_primal_dual(
         Decay parameter of the paper's step rule.
     polyak_relax:
         Relaxation factor ``theta`` in the Polyak step.
+    caching_backend:
+        Must be ``"flow"``, the one ``P1`` path
+        (:func:`repro.core.caching_lp.solve_caching`); kept so callers that
+        name it keep working. Any other value raises
+        :class:`repro.exceptions.ConfigurationError`.
     mu0:
         Warm-start multipliers, e.g. from the previous receding-horizon
         window; dramatically cuts iterations for consecutive solves.
@@ -151,8 +156,8 @@ def solve_primal_dual(
     executor:
         Parallel-execution strategy for the per-SBS ``P1`` solves — an
         :class:`repro.perf.Executor`, a spec string (``"process:4"``), or
-        ``None`` to consult ``REPRO_WORKERS`` / ``REPRO_EXECUTOR``.
-        Results are bit-identical across strategies.
+        ``None`` to take it from ``config`` (default serial). Results are
+        bit-identical across strategies.
     max_seconds:
         Anytime wall-time cap. Checked after each completed outer
         iteration, so at least one feasible ``(x, y)`` pair always exists
@@ -162,8 +167,7 @@ def solve_primal_dual(
         blow through the cap.
     config:
         Runtime knobs (:class:`repro.config.RuntimeConfig`) consulted when
-        ``executor`` / backend choices are not given explicitly; falls back
-        to the deprecated environment variables.
+        ``executor`` is not given explicitly.
     solve_cache:
         Incremental re-solve state (:class:`repro.perf.solvecache.SolveCache`)
         shared with related solves — the online controllers pass one cache
@@ -180,6 +184,10 @@ def solve_primal_dual(
         raise ConfigurationError(f"max_iter must be positive, got {max_iter}")
     if not 0 < polyak_relax <= 2:
         raise ConfigurationError(f"polyak_relax must be in (0, 2], got {polyak_relax}")
+    if caching_backend != "flow":
+        raise ConfigurationError(
+            f"caching_backend must be 'flow', got {caching_backend!r}"
+        )
 
     sbs_of = problem.network.class_sbs
     mu = np.zeros(problem.y_shape) if mu0 is None else np.maximum(mu0, 0.0)
@@ -234,7 +242,6 @@ def solve_primal_dual(
                 problem.network,
                 mu,
                 problem.x_initial,
-                backend=caching_backend,
                 executor=ex,
                 config=config,
                 cache=solve_cache,
@@ -357,7 +364,6 @@ def solve_primal_dual(
                 problem.network,
                 mu_best,
                 problem.x_initial,
-                backend=caching_backend,
                 executor=ex,
                 config=config,
                 cache=solve_cache,

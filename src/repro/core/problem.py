@@ -59,6 +59,8 @@ class JointProblem:
             raise DimensionMismatchError(
                 f"demand slots have shape {demand.shape[1:]}, expected (M, K) = {expected}"
             )
+        if not np.isfinite(demand).all():
+            raise ConfigurationError("demand must be finite (no NaN or inf)")
         if np.any(demand < 0):
             raise ConfigurationError("demand must be non-negative")
         object.__setattr__(self, "demand", demand)

@@ -13,6 +13,7 @@ served by the BS (constraint (4)), at the operating cost modeled in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -60,11 +61,14 @@ class SmallBaseStation:
             raise ConfigurationError(
                 f"cache_size must be a non-negative integer, got {self.cache_size}"
             )
-        if self.bandwidth < 0:
+        # Written as negated ``>=`` tests so NaN fails them; an infinite
+        # bandwidth stays legal (an uncapacitated SBS link).
+        if not self.bandwidth >= 0:
             raise ConfigurationError(f"bandwidth must be >= 0, got {self.bandwidth}")
-        if self.replacement_cost < 0:
+        if not 0 <= self.replacement_cost < math.inf:
             raise ConfigurationError(
-                f"replacement_cost must be >= 0, got {self.replacement_cost}"
+                "replacement_cost must be finite and >= 0, "
+                f"got {self.replacement_cost}"
             )
 
     @property

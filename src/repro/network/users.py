@@ -14,6 +14,7 @@ The paper aggregates MUs into classes ``m_n`` attached to a single SBS
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
@@ -45,10 +46,16 @@ class MUClass:
             raise ConfigurationError(f"class_id must be >= 0, got {self.class_id}")
         if self.sbs_id < 0:
             raise ConfigurationError(f"sbs_id must be >= 0, got {self.sbs_id}")
-        if self.omega_bs < 0:
-            raise ConfigurationError(f"omega_bs must be >= 0, got {self.omega_bs}")
-        if self.omega_sbs < 0:
-            raise ConfigurationError(f"omega_sbs must be >= 0, got {self.omega_sbs}")
+        # Range tests written so NaN fails them too; an infinite weight
+        # would make every cost inf and the dual bound NaN.
+        if not 0 <= self.omega_bs < math.inf:
+            raise ConfigurationError(
+                f"omega_bs must be finite and >= 0, got {self.omega_bs}"
+            )
+        if not 0 <= self.omega_sbs < math.inf:
+            raise ConfigurationError(
+                f"omega_sbs must be finite and >= 0, got {self.omega_sbs}"
+            )
 
     @property
     def name(self) -> str:

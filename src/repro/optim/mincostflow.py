@@ -27,7 +27,6 @@ holding arc), so a row it certifies is bit-comparable against
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +35,6 @@ from repro.exceptions import ConfigurationError, SolverError
 from repro.types import FloatArray
 
 _INF = float("inf")
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A resumable snapshot of a solved flow: caps, potentials, and costs.
-
-    Captured by :meth:`MinCostFlow.export_state` after a successful solve
-    and consumed by :meth:`MinCostFlow.resume`, which re-optimizes from the
-    retained flow instead of cold-starting after a cost change. ``costs``
-    records the arc costs the potentials were settled against, so a resume
-    can seed its repair worklist from exactly the arcs that changed. The
-    state is plain data (picklable), so it can travel through executor
-    task tuples to process workers and back.
-    """
-
-    caps: FloatArray
-    potentials: FloatArray
-    costs: FloatArray
-    amount: int
 
 
 @dataclass(frozen=True)
@@ -93,12 +73,6 @@ class MinCostFlow:
         # lookup per scanned arc in the Dijkstra hot loop.
         self._adj_pairs: list[list[tuple[int, int]]] | None = None
         self._num_user_arcs = 0
-        self._cap0: list[float] | None = None
-        self._potentials: list[float] | None = None
-        self._last_amount = 0
-        self._topo_order: list[int] | None = None
-        #: Whether the most recent :meth:`resume` fell back to a cold solve.
-        self.last_resume_bailed = False
 
     def add_arc(self, u: int, v: int, capacity: int, cost: float) -> int:
         """Add an arc ``u -> v`` and return its id (for flow read-back)."""
@@ -106,8 +80,6 @@ class MinCostFlow:
             raise ConfigurationError(f"arc ({u}, {v}) references unknown node")
         if capacity < 0:
             raise ConfigurationError(f"capacity must be >= 0, got {capacity}")
-        self._cap0 = None  # topology changed; the pre-solve snapshot is stale
-        self._topo_order = None
         self._adj_pairs = None
         arc_id = self._num_user_arcs
         self._adj[u].append(len(self._head))
@@ -120,65 +92,6 @@ class MinCostFlow:
         self._cost.append(-float(cost))
         self._num_user_arcs += 1
         return arc_id
-
-    # ------------------------------------------------------------ graph reuse
-    #
-    # The caching subproblem solves the same arc topology every subgradient
-    # iteration — only the costs change with the dual prices. These hooks
-    # let callers rebuild costs in place and rewind the flow instead of
-    # reconstructing nodes and arcs for every solve.
-
-    def set_arc_cost(self, arc_id: int, cost: float) -> None:
-        """Replace the cost of user arc ``arc_id`` (and its residual twin)."""
-        if not 0 <= arc_id < self._num_user_arcs:
-            raise ConfigurationError(f"unknown arc id {arc_id}")
-        e = 2 * arc_id
-        c = float(cost)
-        self._cost[e] = c
-        self._cost[e + 1] = -c
-
-    def set_arc_costs(self, arc_ids: "np.ndarray", costs: "np.ndarray") -> None:
-        """Bulk :meth:`set_arc_cost` for flat, same-length id/cost arrays."""
-        ids = np.asarray(arc_ids).reshape(-1)
-        values = np.asarray(costs, dtype=np.float64).reshape(-1)
-        if ids.shape != values.shape:
-            raise ConfigurationError(
-                f"got {ids.size} arc ids but {values.size} costs"
-            )
-        if ids.size and not (0 <= int(ids.min()) and int(ids.max()) < self._num_user_arcs):
-            raise ConfigurationError("arc id out of range")
-        cost_list = self._cost
-        for arc_id, c in zip(ids.tolist(), values.tolist()):
-            e = 2 * arc_id
-            cost_list[e] = c
-            cost_list[e + 1] = -c
-
-    def set_all_arc_costs(self, costs: "np.ndarray") -> None:
-        """Replace every user arc's cost at once from an id-indexed array.
-
-        Equivalent to ``set_arc_costs(arange(num_user_arcs), costs)`` but
-        rewrites the interleaved forward/residual cost storage in one
-        vectorized pass — the per-solve hot path for pooled flow templates,
-        whose topology is fixed and whose costs are rewritten every solve.
-        """
-        values = np.asarray(costs, dtype=np.float64).reshape(-1)
-        if values.size != self._num_user_arcs:
-            raise ConfigurationError(
-                f"got {values.size} costs for {self._num_user_arcs} user arcs"
-            )
-        interleaved = np.empty(2 * values.size, dtype=np.float64)
-        interleaved[0::2] = values
-        interleaved[1::2] = -values
-        self._cost[:] = interleaved.tolist()
-
-    def reset(self) -> None:
-        """Rewind all flow, restoring the capacities seen by the first solve.
-
-        Only valid when no arcs were added since that solve (adding an arc
-        invalidates the snapshot, making this a no-op until the next solve).
-        """
-        if self._cap0 is not None:
-            self._cap[:] = self._cap0
 
     # ------------------------------------------------------------ potentials
 
@@ -209,35 +122,27 @@ class MinCostFlow:
         return dist
 
     def _topological_potentials(self, source: int) -> list[float]:
-        """Single-pass shortest distances for DAGs (Kahn order).
-
-        The Kahn order depends only on the arc topology, so it is computed
-        once and cached until an arc is added; repeat solves over a pooled
-        template pay only for the relaxation pass.
-        """
-        order = self._topo_order
-        if order is None:
-            indeg = [0] * self.num_nodes
-            for u in range(self.num_nodes):
-                for e in self._adj[u]:
-                    if e % 2 == 0:  # forward arcs only define the DAG
-                        indeg[self._head[e]] += 1
-            order = [u for u in range(self.num_nodes) if indeg[u] == 0]
-            head = 0
-            while head < len(order):
-                u = order[head]
-                head += 1
-                for e in self._adj[u]:
-                    if e % 2 == 0:
-                        v = self._head[e]
-                        indeg[v] -= 1
-                        if indeg[v] == 0:
-                            order.append(v)
-            if len(order) != self.num_nodes:
-                raise ConfigurationError(
-                    "graph is not a DAG; use Bellman-Ford potentials"
-                )
-            self._topo_order = order
+        """Single-pass shortest distances for DAGs (Kahn order)."""
+        indeg = [0] * self.num_nodes
+        for u in range(self.num_nodes):
+            for e in self._adj[u]:
+                if e % 2 == 0:  # forward arcs only define the DAG
+                    indeg[self._head[e]] += 1
+        order = [u for u in range(self.num_nodes) if indeg[u] == 0]
+        head = 0
+        while head < len(order):
+            u = order[head]
+            head += 1
+            for e in self._adj[u]:
+                if e % 2 == 0:
+                    v = self._head[e]
+                    indeg[v] -= 1
+                    if indeg[v] == 0:
+                        order.append(v)
+        if len(order) != self.num_nodes:
+            raise ConfigurationError(
+                "graph is not a DAG; use Bellman-Ford potentials"
+            )
         dist = [_INF] * self.num_nodes
         dist[source] = 0.0
         for u in order:
@@ -285,8 +190,6 @@ class MinCostFlow:
             raise ConfigurationError("source and sink must differ")
         if amount < 0:
             raise ConfigurationError(f"amount must be >= 0, got {amount}")
-        if self._cap0 is None:
-            self._cap0 = list(self._cap)
 
         if initial_potentials is not None:
             if len(initial_potentials) != self.num_nodes:
@@ -335,198 +238,7 @@ class MinCostFlow:
         arc_flow = np.array(self._cap, dtype=np.float64)[
             1 : 2 * self._num_user_arcs : 2
         ]
-        self._potentials = potentials
-        self._last_amount = flow
         return FlowResult(amount=flow, cost=total_cost, arc_flow=arc_flow)
-
-    def cold_solve(
-        self,
-        source: int,
-        sink: int,
-        amount: int,
-        *,
-        dag: bool = False,
-        initial_potentials: list[float] | None = None,
-    ) -> FlowResult:
-        """Guaranteed from-scratch solve: rewind all flow, then :meth:`solve`.
-
-        The reference path that :meth:`resume` is cross-checked against in
-        tests — it never consults retained potentials or flow.
-        """
-        self.reset()
-        return self.solve(
-            source, sink, amount, dag=dag, initial_potentials=initial_potentials
-        )
-
-    # ------------------------------------------------------------ warm resume
-    #
-    # Late in dual ascent the prices barely move, so the previous optimal
-    # flow usually stays optimal. ``export_state``/``resume`` exploit that:
-    # restore the retained flow, then repair the node potentials by
-    # worklist (SPFA-style) label-correcting relaxations seeded only from
-    # the residual arcs the cost change actually violated. If the worklist
-    # settles, the potentials certify there is no negative residual cycle,
-    # i.e. the retained flow is still optimal — typically after touching a
-    # handful of nodes. If it does not settle within a fixed operation
-    # budget (large perturbation, or a negative cycle that would need
-    # canceling) resume bails to a cold solve, so it is never
-    # asymptotically worse than one.
-
-    #: Residual-arc relaxation margin; coarser than Dijkstra's float-noise
-    #: guard (1e-15) and finer than its stale-potential alarm (1e-7).
-    _RESUME_EPS = 1e-10
-    #: Relaxation budget for the settle worklist, as a multiple of the arc
-    #: count; beyond it resume deterministically bails to a cold solve.
-    _RESUME_OPS_FACTOR = 4
-
-    def export_state(self) -> FlowState:
-        """Snapshot the current flow and potentials for a later resume.
-
-        Only meaningful after a successful :meth:`solve` (or
-        :meth:`resume`) with no arcs added since.
-        """
-        if self._potentials is None or self._cap0 is None:
-            raise SolverError("no solved flow to export; call solve() first")
-        n = len(self._cap)
-        return FlowState(
-            caps=np.fromiter(self._cap, dtype=np.float64, count=n),
-            potentials=np.array(self._potentials, dtype=np.float64),
-            costs=np.fromiter(self._cost, dtype=np.float64, count=n),
-            amount=int(self._last_amount),
-        )
-
-    def resume(
-        self,
-        source: int,
-        sink: int,
-        amount: int,
-        state: FlowState,
-        *,
-        dag: bool = False,
-        initial_potentials: list[float] | None = None,
-    ) -> FlowResult:
-        """Re-optimize after a cost change, starting from ``state``.
-
-        Equivalent to :meth:`cold_solve` (same optimal cost; identical
-        solution whenever the optimum is unique) but typically much
-        cheaper: when the retained flow is still optimal the only work is
-        scanning for violated residual arcs and settling the few affected
-        potentials. Falls back to a cold solve deterministically when the
-        settle worklist exceeds its operation budget. ``dag`` and
-        ``initial_potentials`` are only used by that fallback.
-        """
-        if len(state.caps) != len(self._cap):
-            raise ConfigurationError(
-                f"state has {len(state.caps)} arc slots, graph has {len(self._cap)}"
-            )
-        if self._cap0 is None:
-            # The graph may be a fresh template that never solved: its
-            # current (empty-flow) capacities are the rewind snapshot.
-            self._cap0 = list(self._cap)
-        self._cap[:] = state.caps.tolist()
-        potentials = state.potentials.tolist()
-        # The retained potentials were settled against ``state.costs``, so
-        # only arcs whose cost changed since can violate them — they are
-        # the entire repair worklist.
-        costs_now = np.fromiter(self._cost, dtype=np.float64, count=len(self._cost))
-        changed = np.flatnonzero(costs_now != state.costs)
-
-        self.last_resume_bailed = False
-        if not self._settle_potentials(potentials, changed.tolist()):
-            self.last_resume_bailed = True
-            return self.cold_solve(
-                source, sink, amount, dag=dag, initial_potentials=initial_potentials
-            )
-
-        # Potentials are valid for the retained flow; route any shortfall
-        # (none in the steady state — the retained flow already carries
-        # ``amount``) with the ordinary reduced-cost augmentations.
-        flow = state.amount
-        while flow < amount:
-            dist, parent_arc = self._dijkstra(source, potentials)
-            if dist[sink] == _INF:
-                break
-            potentials = [
-                p + d if d < _INF else p for p, d in zip(potentials, dist)
-            ]
-            bottleneck = float(amount - flow)
-            v = sink
-            while v != source:
-                e = parent_arc[v]
-                bottleneck = min(bottleneck, self._cap[e])
-                v = self._head[e ^ 1]
-            bottleneck = float(int(bottleneck))
-            if bottleneck <= 0:
-                raise SolverError("zero-bottleneck augmenting path")
-            v = sink
-            while v != source:
-                e = parent_arc[v]
-                self._cap[e] -= bottleneck
-                self._cap[e ^ 1] += bottleneck
-                v = self._head[e ^ 1]
-            flow += int(bottleneck)
-
-        total_cost = 0.0
-        arc_flow = np.empty(self._num_user_arcs, dtype=np.float64)
-        for i in range(self._num_user_arcs):
-            f = self._cap[2 * i + 1]
-            arc_flow[i] = f
-            if f:
-                total_cost += f * self._cost[2 * i]
-        self._potentials = potentials
-        self._last_amount = flow
-        return FlowResult(amount=flow, cost=total_cost, arc_flow=arc_flow)
-
-    def _settle_potentials(
-        self, potentials: list[float], changed_arcs: list[int]
-    ) -> bool:
-        """Worklist label-correcting until no residual arc is violated.
-
-        Seeds the queue from the (cost-)changed arcs only — all other
-        residual arcs already satisfied the potentials — then propagates
-        from nodes whose potential actually dropped. Settling certifies
-        valid potentials, and therefore that the current flow has no
-        negative residual cycle, i.e. is optimal for its value. Returns
-        ``False`` when the relaxation budget runs out (the caller must
-        cold-solve; this also covers negative residual cycles, on which
-        pure relaxation would never settle).
-        """
-        eps = self._RESUME_EPS
-        cap, cost, head, adj = self._cap, self._cost, self._head, self._adj
-        queue: deque[int] = deque()
-        queued = [False] * self.num_nodes
-        for e in changed_arcs:
-            if cap[e] > 1e-12:
-                u = head[e ^ 1]
-                pu = potentials[u]
-                if pu == _INF:
-                    continue
-                v = head[e]
-                nv = pu + cost[e]
-                if nv < potentials[v] - eps:
-                    potentials[v] = nv
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
-        ops = 0
-        budget = self._RESUME_OPS_FACTOR * len(head)
-        while queue:
-            u = queue.popleft()
-            queued[u] = False
-            pu = potentials[u]
-            for e in adj[u]:
-                ops += 1
-                if cap[e] > 1e-12:
-                    v = head[e]
-                    nv = pu + cost[e]
-                    if nv < potentials[v] - eps:
-                        potentials[v] = nv
-                        if not queued[v]:
-                            queued[v] = True
-                            queue.append(v)
-            if ops > budget:
-                return False
-        return True
 
     def _dijkstra(
         self, source: int, potentials: list[float]

@@ -8,8 +8,6 @@ results and ``BENCH_*.json`` reports.
 """
 
 from repro.perf.executor import (
-    EXECUTOR_ENV,
-    WORKERS_ENV,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -23,8 +21,6 @@ from repro.perf.executor import (
 from repro.perf.timers import StageTimers
 
 __all__ = [
-    "EXECUTOR_ENV",
-    "WORKERS_ENV",
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",

@@ -13,7 +13,7 @@ two such records, separates *configuration* (what was measured) from
 - **costs** — per-policy metric values from the embedded sweep payload
   (everything except ``wall_time``), listing the entries that drifted.
 - **counters** — the ``solve_counters`` snapshot (memo hit/miss and
-  warm-resume counts recorded by the headline bench), side by side.
+  batched-pass counts recorded by the headline bench), side by side.
 - **slo** — the serve bench's live-SLO block (decision-latency
   quantiles, shed/swap-drop ratios, alert counts), side by side.
   Informational only: latency quantiles are wall-clock measurements, so
@@ -41,7 +41,6 @@ _RESULT_FIELDS = frozenset(
         "executor",
         "incremental",
         "bw_closed_form",
-        "batched_ties",
         "costs_identical",
         "executors_identical",
         "parallel_skipped",

@@ -12,15 +12,10 @@ the execution strategy is a deployment choice, not an algorithmic one:
 - ``process`` — a shared :class:`~concurrent.futures.ProcessPoolExecutor`
   (the right choice for the CPU-bound pure-Python solver loops).
 
-Selection is by explicit argument, by :class:`repro.config.RuntimeConfig`,
-or by the deprecated environment fallbacks (each warns once per process):
-
-- ``REPRO_WORKERS=<n>`` — worker count; ``n > 1`` with no explicit kind
-  selects the ``process`` backend.
-- ``REPRO_EXECUTOR=<kind>[:<n>]`` — e.g. ``thread``, ``process:4``.
-
-Precedence: explicit argument > ``RuntimeConfig`` field > environment >
-default (serial).
+Selection is by explicit argument or by :class:`repro.config.RuntimeConfig`
+(``executor="<kind>[:<n>]"``, e.g. ``thread``, ``process:4``; ``workers=n``
+with no explicit kind selects the ``process`` backend). Precedence:
+explicit argument > ``RuntimeConfig`` field > default (serial).
 
 Determinism contract: :meth:`Executor.map` always returns results in the
 order of its inputs, every task function used with it is pure, and callers
@@ -41,7 +36,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.config import EXECUTOR_ENV, WORKERS_ENV, RuntimeConfig, deprecated_env
+from repro.config import RuntimeConfig
 from repro.exceptions import ConfigurationError
 
 _NESTED_ENV = "REPRO_NESTED_WORKER"
@@ -222,15 +217,7 @@ def _close_shared() -> None:  # pragma: no cover - interpreter shutdown
 
 
 def default_workers() -> int:
-    """Worker count from ``REPRO_WORKERS``, else the usable CPU count."""
-    env = deprecated_env(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from exc
+    """The usable CPU count (the worker count of a kind-only spec)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
@@ -243,13 +230,11 @@ def get_executor(
     workers: int | None = None,
     config: RuntimeConfig | None = None,
 ) -> Executor:
-    """Resolve an executor from an explicit spec, config, or the environment.
+    """Resolve an executor from an explicit spec or config.
 
     Precedence: an :class:`Executor` instance is passed through; a string
-    spec (``"process:4"``) wins over ``config``, which wins over the
-    deprecated ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` fallbacks; the
-    default is serial. Inside a worker the result is always serial (no
-    nested pools).
+    spec (``"process:4"``) wins over ``config``; the default is serial.
+    Inside a worker the result is always serial (no nested pools).
     """
     if isinstance(spec, Executor):
         return spec
@@ -266,16 +251,11 @@ def get_executor(
     spec_workers: int | None = None
     if spec is not None:
         kind, spec_workers = parse_spec(spec)
-    else:
-        env_spec = deprecated_env(EXECUTOR_ENV)
-        if env_spec:
-            kind, spec_workers = parse_spec(env_spec)
 
     if workers is None:
         workers = spec_workers
     if workers is None:
-        env_workers = os.environ.get(WORKERS_ENV)
-        workers = default_workers() if (env_workers or kind) else 1
+        workers = default_workers() if kind else 1
 
     if kind is None:
         kind = "process" if workers > 1 else "serial"

@@ -2,28 +2,16 @@
 
 Algorithm 1 calls ``solve_caching`` once per subgradient iteration, and the
 online controllers repeat that over windows overlapping in ``w - 1`` slots,
-so near-identical per-SBS ``P1`` subproblems are solved thousands of times
-per run. :class:`SolveCache` carries the three pieces of reuse state that
-make the repeats cheap (DESIGN.md, "Incremental re-solve"):
+so repeated per-SBS ``P1`` subproblems come up across a run — the stall
+re-anchor and the best-dual recovery step re-solve byte-identical prices by
+construction. :class:`SolveCache` carries the reuse state for those repeats
+(DESIGN.md, "Incremental re-solve"):
 
 - an exact **per-SBS memo**: each SBS solve is keyed on a blake2b digest of
   its ``(c_slice, x_initial_slice, cap, beta)`` bytes; a hit skips the
   solve entirely and returns the stored ``(x, objective)``. Because the key
   is digest-exact, hits cannot change any numeric output — a hit is the
   bitwise answer a cold solve would produce.
-- per-SBS **warm flow states** (:class:`repro.optim.mincostflow.FlowState`):
-  the previous solve's flow and node potentials, resumed instead of
-  cold-started on a miss. A resume only pays off when the price change
-  left the retained flow (near-)optimal — large subgradient steps create
-  negative residual cycles and every attempt bails to a cold solve — so
-  consecutive bails put the state key on an exponential cooldown
-  (:meth:`SolveCache.warm_state_for`), with periodic re-probes that
-  re-enable resumes as soon as the ascent settles into small steps. A key
-  whose cooldown would exceed :data:`BACKOFF_CAP` has demonstrably
-  price-flip-dominated dynamics (every settle attempt burns the full SPFA
-  budget before bailing), so it is **disabled outright**: its state is
-  dropped, no further resumes are attempted for the life of the cache,
-  and the decision is counted (``flow_warm_disabled_keys``).
 - plain **hit/miss counters**, incremented by the owner in the parent
   process (ContextVars do not cross pool workers), so recorded metric
   streams stay byte-identical across serial/thread/process executors.
@@ -39,32 +27,15 @@ import hashlib
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.types import FloatArray
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.optim.mincostflow import FlowState
-
 #: Memo entries retained per cache (LRU). A 100-slot online run performs a
 #: few hundred subgradient iterations, each contributing one entry per SBS,
 #: so the default never evicts in practice while still bounding memory.
 MEMO_LIMIT = 4096
-
-#: Longest resume cooldown (in skipped attempts) a key can accumulate.
-#: A strike that would push the cooldown past this cap permanently
-#: disables warm resume for the key instead (see :meth:`SolveCache.note_resume`).
-BACKOFF_CAP = 64
-
-
-#: Price quantum of the opt-in banded memo key: prices within the same
-#: 1e-9-wide band hash identically. Half a band is the largest price
-#: perturbation a banded hit can hide, so the reused trajectory's
-#: suboptimality is bounded by ``quantum * T * K`` — far inside the 1e-9
-#: *relative* reproduction envelope for the paper's cost magnitudes.
-P1_QUANTUM = 1e-9
 
 
 def p1_digest(c: FloatArray, beta: float, cap: int, x0: FloatArray) -> bytes:
@@ -82,26 +53,6 @@ def p1_digest(c: FloatArray, beta: float, cap: int, x0: FloatArray) -> bytes:
     return h.digest()
 
 
-def p1_quantized_digest(
-    c: FloatArray, beta: float, cap: int, x0: FloatArray, *, quantum: float = P1_QUANTUM
-) -> bytes:
-    """Tolerance-banded ``P1`` digest: prices rounded to ``quantum`` bands.
-
-    Subgradient iterates whose prices drift by less than half a band map
-    to the same key, so a near-repeat can be answered from the memo. Only
-    the prices are banded — ``(cap, beta, x0)`` stay exact, because a
-    banded hit reuses the stored *trajectory* and any difference there
-    changes the feasible set, not just the objective. Callers must
-    re-evaluate the objective against the actual prices on a banded hit
-    (:meth:`SolveCache.lookup_banded` flags those).
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(struct.pack("<qqqdd", c.shape[0], c.shape[1], cap, beta, quantum))
-    h.update(np.round(np.asarray(c, dtype=np.float64) / quantum).tobytes())
-    h.update(np.ascontiguousarray(x0).tobytes())
-    return h.digest()
-
-
 @dataclass
 class SolveCache:
     """Reuse state for a sequence of related ``P1`` solves.
@@ -111,47 +62,16 @@ class SolveCache:
     memo:
         LRU digest -> ``(x_bits, objective)`` map; ``x_bits`` is the
         integral trajectory stored compactly as ``uint8``.
-    flow_states:
-        Per-SBS warm-resume snapshots for the flow backend.
     hits, misses:
         Memo lookup counters (exact skips vs. real solves).
-    quant_hits:
-        The subset of hits that a banded (quantized) key answered from an
-        entry solved for different raw prices — the extra reuse the
-        opt-in quantized memo bought over the exact digest.
-    warm_resumes, warm_bailouts:
-        Flow solves that started from a retained state, and the subset
-        whose settle failed so they fell back to a cold solve.
-    resume_backoff:
-        Per state key ``[strikes, cooldown]``: consecutive bails and the
-        number of upcoming attempts to skip (doubling per strike). A
-        settled resume clears the entry; a strike whose cooldown would
-        exceed :data:`BACKOFF_CAP` moves the key to ``resume_disabled``
-        instead.
-    resume_disabled:
-        State keys whose warm resume is permanently off for this cache's
-        lifetime: their bail streak exhausted the backoff schedule, so
-        every further attempt would burn the settle budget for nothing.
-        ``len(resume_disabled)`` is the ``flow_warm_disabled_keys``
-        counter.
     """
 
-    memo: "OrderedDict[bytes, tuple[np.ndarray, float, bytes | None]]" = field(
+    memo: "OrderedDict[bytes, tuple[np.ndarray, float]]" = field(
         default_factory=OrderedDict
-    )
-    flow_states: "dict[tuple[int, int, int, int], FlowState]" = field(
-        default_factory=dict
     )
     hits: int = 0
     misses: int = 0
-    quant_hits: int = 0
-    warm_resumes: int = 0
-    warm_bailouts: int = 0
     memo_limit: int = MEMO_LIMIT
-    resume_backoff: "dict[tuple[int, int, int, int], list[int]]" = field(
-        default_factory=dict
-    )
-    resume_disabled: "set[tuple[int, int, int, int]]" = field(default_factory=set)
 
     def lookup(self, key: bytes) -> tuple[FloatArray, float] | None:
         """Return the memoized ``(x, objective)`` for ``key``, if present.
@@ -165,96 +85,15 @@ class SolveCache:
             return None
         self.hits += 1
         self.memo.move_to_end(key)
-        x_bits, obj, _ = entry
+        x_bits, obj = entry
         return x_bits.astype(np.float64), obj
 
-    def lookup_banded(
-        self, key: bytes, exact_key: bytes
-    ) -> tuple[FloatArray, float, bool] | None:
-        """Lookup under a quantized key; flags hits that crossed a band.
-
-        Returns ``(x, objective, banded)`` where ``banded`` is True when
-        the stored entry was solved for *different* raw prices inside the
-        same band — the caller must then re-evaluate the objective against
-        its actual prices (the trajectory itself stays valid: the feasible
-        set does not depend on prices).
-        """
-        entry = self.memo.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.memo.move_to_end(key)
-        x_bits, obj, stored_exact = entry
-        banded = stored_exact != exact_key
-        if banded:
-            self.quant_hits += 1
-        return x_bits.astype(np.float64), obj, banded
-
-    def store(
-        self,
-        key: bytes,
-        x: FloatArray,
-        objective: float,
-        *,
-        exact_key: bytes | None = None,
-    ) -> None:
-        """Memoize a solved ``(x, objective)`` under ``key`` (LRU-bounded).
-
-        ``exact_key`` records the exact digest of the solved subproblem so
-        banded lookups can tell same-bytes hits from cross-band reuse.
-        """
-        self.memo[key] = (x.astype(np.uint8), objective, exact_key)
+    def store(self, key: bytes, x: FloatArray, objective: float) -> None:
+        """Memoize a solved ``(x, objective)`` under ``key`` (LRU-bounded)."""
+        self.memo[key] = (x.astype(np.uint8), objective)
         self.memo.move_to_end(key)
         while len(self.memo) > self.memo_limit:
             self.memo.popitem(last=False)
-
-    def warm_state_for(
-        self, state_key: tuple[int, int, int, int]
-    ) -> "FlowState | None":
-        """The stored warm state for ``state_key``, unless it is cooling down.
-
-        Each call during a cooldown consumes one tick, so the key is
-        automatically re-probed when the cooldown runs out. Disabled keys
-        never return a state.
-        """
-        if state_key in self.resume_disabled:
-            return None
-        state = self.flow_states.get(state_key)
-        if state is None:
-            return None
-        backoff = self.resume_backoff.get(state_key)
-        if backoff is not None and backoff[1] > 0:
-            backoff[1] -= 1
-            return None
-        return state
-
-    def is_resume_disabled(self, state_key: tuple[int, int, int, int]) -> bool:
-        """Whether warm resume is permanently off for ``state_key``."""
-        return state_key in self.resume_disabled
-
-    def note_resume(self, state_key: tuple[int, int, int, int], bailed: bool) -> bool:
-        """Record a resume outcome, updating the key's backoff schedule.
-
-        Returns ``True`` when *this* outcome disabled the key: the bail
-        streak's next cooldown would exceed :data:`BACKOFF_CAP`, so rather
-        than re-probing forever the key's warm state is dropped and resume
-        is switched off for the cache's lifetime. Callers surface the
-        decision as the ``flow_warm_disabled_keys`` counter.
-        """
-        if not bailed:
-            self.resume_backoff.pop(state_key, None)
-            return False
-        backoff = self.resume_backoff.setdefault(state_key, [0, 0])
-        backoff[0] += 1
-        cooldown = 1 << backoff[0]
-        if cooldown > BACKOFF_CAP:
-            self.resume_backoff.pop(state_key, None)
-            self.flow_states.pop(state_key, None)
-            self.resume_disabled.add(state_key)
-            return True
-        backoff[1] = cooldown
-        return False
 
     @property
     def hit_rate(self) -> float:
@@ -268,8 +107,4 @@ class SolveCache:
             "p1_memo_hits": self.hits,
             "p1_memo_misses": self.misses,
             "p1_memo_hit_rate": self.hit_rate,
-            "p1_quant_memo_hits": self.quant_hits,
-            "flow_warm_resumes": self.warm_resumes,
-            "flow_warm_bailouts": self.warm_bailouts,
-            "flow_warm_disabled_keys": len(self.resume_disabled),
         }

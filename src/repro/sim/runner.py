@@ -114,11 +114,10 @@ def run_policies(
 ) -> dict[str, RunResult]:
     """Run several policies on the same scenario; keyed by policy name.
 
-    With an ``executor`` (or a :class:`repro.config.RuntimeConfig`, or the
-    deprecated ``REPRO_WORKERS`` environment) the policies run in
-    parallel. The result dict is always in input-policy order and always
-    has one entry per policy: colliding names are suffixed (``LRFU``,
-    ``LRFU#2``) instead of silently dropping results.
+    With an ``executor`` (or a :class:`repro.config.RuntimeConfig`) the
+    policies run in parallel. The result dict is always in input-policy
+    order and always has one entry per policy: colliding names are
+    suffixed (``LRFU``, ``LRFU#2``) instead of silently dropping results.
     """
     policy_list = _unique_names(list(policies))
     ex = resolve_executor(executor, config=config)

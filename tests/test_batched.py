@@ -355,11 +355,11 @@ class TestP1Batched:
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
         loop = solve_caching(
-            net, mu, x0, backend="flow", config=LOOPED,
+            net, mu, x0, config=LOOPED,
             cache=SolveCache() if with_cache else None,
         )
         batched = solve_caching(
-            net, mu, x0, backend="flow", config=BATCHED,
+            net, mu, x0, config=BATCHED,
             cache=SolveCache() if with_cache else None,
         )
         assert np.array_equal(loop.x, batched.x)
@@ -370,9 +370,9 @@ class TestP1Batched:
         net = _multi_network(rng, N=3, K=6, C=2)
         mu = _sparse_mu(rng, (3, net.num_classes, 6), sparsity=0.5)
         x0 = np.zeros((3, 6))
-        base = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
+        base = solve_caching(net, mu, x0, config=BATCHED)
         other = solve_caching(
-            net, mu, x0, backend="flow", executor=executor, config=BATCHED
+            net, mu, x0, executor=executor, config=BATCHED
         )
         assert np.array_equal(base.x, other.x)
         assert base.objective == other.objective
@@ -383,55 +383,12 @@ class TestP1Batched:
         mu = _sparse_mu(rng, (3, net.num_classes, 6))
         x0 = np.zeros((3, 6))
         cache = SolveCache()
-        first = solve_caching(net, mu, x0, backend="flow", config=BATCHED, cache=cache)
+        first = solve_caching(net, mu, x0, config=BATCHED, cache=cache)
         misses = cache.misses
-        second = solve_caching(net, mu, x0, backend="flow", config=BATCHED, cache=cache)
+        second = solve_caching(net, mu, x0, config=BATCHED, cache=cache)
         assert cache.misses == misses  # all hits the second time
         assert np.array_equal(first.x, second.x)
         assert first.objective == second.objective
-
-
-class TestQuantizedMemo:
-    def test_band_hit_reevaluates_objective(self, rng):
-        """A cross-band hit reuses the trajectory but prices the actual
-        objective — drift at float-noise level stays within 1e-9."""
-        net = _multi_network(rng, N=2, K=6, C=2)
-        mu = _sparse_mu(rng, (3, net.num_classes, 6))
-        x0 = np.zeros((2, 6))
-        cfg = RuntimeConfig(batched=True, quantized_memo=True)
-        cache = SolveCache()
-        first = solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        drift = mu * (1.0 + rng.random(mu.shape) * 1e-14)
-        second = solve_caching(net, drift, x0, backend="flow", config=cfg, cache=cache)
-        assert cache.quant_hits >= 1
-        assert np.array_equal(first.x, second.x)
-        # The reported objective is exactly the reused trajectory priced
-        # against the *drifted* mu, not the stale stored value...
-        prices = class_prices(net, drift)
-        expected = sum(
-            _objective_single(
-                prices[:, n, :], float(net.sbss[n].replacement_cost),
-                second.x[:, n, :], x0[n],
-            )
-            for n in range(2)
-        )
-        assert second.objective == pytest.approx(expected, abs=1e-12)
-        # ...and the trajectory is within the 1e-9 envelope of a cold solve.
-        cold = solve_caching(net, drift, x0, backend="flow", config=BATCHED)
-        assert second.objective <= cold.objective + 1e-9 * max(
-            1.0, abs(cold.objective)
-        )
-
-    def test_exact_repeat_is_not_counted_banded(self, rng):
-        net = _multi_network(rng, N=2, K=5, C=1)
-        mu = _sparse_mu(rng, (2, net.num_classes, 5))
-        x0 = np.zeros((2, 5))
-        cfg = RuntimeConfig(batched=True, quantized_memo=True)
-        cache = SolveCache()
-        solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        solve_caching(net, mu, x0, backend="flow", config=cfg, cache=cache)
-        assert cache.quant_hits == 0  # same bytes, not cross-band reuse
-        assert cache.hits == 2
 
 
 class TestRoundingRepair:
@@ -687,13 +644,13 @@ class TestBwBoundClosedForm:
         net = _multi_network(rng, N=N, K=K, C=C, bandwidth=0.4)
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
-        base = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
+        base = solve_caching(net, mu, x0, config=BATCHED)
         cached = solve_caching(
-            net, mu, x0, backend="flow", config=BATCHED,
+            net, mu, x0, config=BATCHED,
             cache=SolveCache() if with_cache else None,
         )
         threaded = solve_caching(
-            net, mu, x0, backend="flow", executor="thread:2", config=BATCHED
+            net, mu, x0, executor="thread:2", config=BATCHED
         )
         for other in (cached, threaded):
             assert np.array_equal(base.x, other.x)
@@ -771,6 +728,17 @@ class TestP1Ties:
             x0[n, rng.choice(K, size=rng.integers(0, C + 1), replace=False)] = 1.0
         self._assert_all_accepted_match_flow(net, prices, x0, N)
 
+    def test_default_solve_counts_capped_not_fallbacks(self, rng):
+        """On the default config, ``solve_caching`` answers uniform-price
+        (cap-bound) rows with the capped kernel and records no fallback."""
+        net = _multi_network(rng, N=4, K=8, C=2, beta=0.5)
+        mu = np.full((3, net.num_classes, 8), 1.0)
+        rec = Recorder()
+        with record_into(rec):
+            solve_caching(net, mu, np.zeros((4, 8)))
+        assert rec.metrics.counter("p1_batched_fallbacks") == 0
+        assert rec.metrics.counter("p1_batched_capped") > 0
+
     @settings(max_examples=25, deadline=None)
     @given(dims)
     def test_duplicated_item_stacks_accepted(self, d):
@@ -800,35 +768,6 @@ class TestP1Ties:
         for n in range(N):
             x0[n, rng.choice(K, size=rng.integers(0, C + 1), replace=False)] = 1.0
         self._assert_all_accepted_match_flow(net, prices, x0, N)
-
-    def test_ties_off_restores_the_fallback_storm(self, rng):
-        """The kill switch really is an acceptance-rate A/B: with
-        ``batched_ties=False`` the degenerate rows are punted to the
-        per-SBS backends (counted as fallbacks), with the default they are
-        answered in-batch — and the costs are identical either way."""
-        net = _multi_network(rng, N=4, K=8, C=2, beta=0.5)
-        # Uniform demand -> uniform prices -> every row cap-bound.
-        mu = np.full((3, net.num_classes, 8), 1.0)
-        x0 = np.zeros((4, 8))
-
-        rec_on = Recorder()
-        with record_into(rec_on):
-            on = solve_caching(net, mu, x0, backend="flow", config=BATCHED)
-        assert rec_on.metrics.counter("p1_batched_fallbacks") == 0
-        assert rec_on.metrics.counter("p1_batched_capped") > 0
-
-        rec_off = Recorder()
-        with record_into(rec_off):
-            off = solve_caching(
-                net, mu, x0, backend="flow",
-                config=RuntimeConfig(batched=True, batched_ties=False),
-            )
-        assert rec_off.metrics.counter("p1_batched_fallbacks") > 0
-        assert rec_off.metrics.counter("p1_batched_capped") == 0
-
-        # The A/B gates the *rate*; the answers must not move a bit.
-        assert np.array_equal(on.x, off.x)
-        assert on.objective == off.objective
 
 
 class TestCappedKernel:

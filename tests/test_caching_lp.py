@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1_oracle import solve_p1_highs
+from repro.config import RuntimeConfig
 from repro.core.caching_lp import (
+    _solve_single_sbs_flow,
     caching_objective,
     class_prices,
     solve_caching,
@@ -125,16 +128,27 @@ class TestSolveCaching:
         )
 
 
+#: Input families of the P1 cross-check: generic sparse prices plus the
+#: degenerate ones where ties and binding caps are the rule, and a start
+#: cache holding more items than the cap (a cache shrink between windows).
+FAMILIES = (
+    "generic", "uniform_price", "duplicated_item", "zero_beta", "cap_0", "cap_K",
+    "x0_over_cap",
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_flow_and_lp_backends_agree(seed: int):
-    """Property: flow, HiGHS-LP, and own-simplex-LP find equal optima."""
+@given(seed=st.integers(0, 2**31 - 1), family=st.sampled_from(FAMILIES))
+def test_flow_and_lp_backends_agree(seed: int, family: str):
+    """Property: every P1 solve path reaches the HiGHS LP optimum."""
     rng = np.random.default_rng(seed)
     K = int(rng.integers(2, 6))
     T = int(rng.integers(1, 5))
     M = int(rng.integers(1, 4))
-    C = int(rng.integers(0, K + 1))
-    beta = float(rng.uniform(0, 4))
+    C = {"cap_0": 0, "cap_K": K, "x0_over_cap": int(rng.integers(0, K))}.get(
+        family, int(rng.integers(0, K + 1))
+    )
+    beta = 0.0 if family == "zero_beta" else float(rng.uniform(0, 4))
     net = single_cell_network(
         num_items=K,
         cache_size=C,
@@ -143,15 +157,28 @@ def test_flow_and_lp_backends_agree(seed: int):
         omega_bs=rng.uniform(0, 1, M),
     )
     mu = rng.uniform(0, 3, (T, M, K)) * (rng.random((T, M, K)) > 0.3)
+    if family == "uniform_price":
+        mu = np.full((T, M, K), float(rng.uniform(0.1, 3)))
+    elif family == "duplicated_item":
+        mu = mu[:, :, np.arange(K) % max(1, K // 2)]
+    elif family == "zero_beta":
+        mu = np.round(mu * 4.0) / 4.0  # coarse grid: exact cross-item ties
     x0 = (rng.random((1, K)) > 0.5).astype(float)
-    objs = {}
-    for backend in ("flow", "lp", "lp-simplex"):
-        sol = solve_caching(net, mu, x0, backend=backend)
+    if family == "x0_over_cap":
+        x0 = np.ones((1, K))  # every item cached, C < K of them allowed
+
+    c = class_prices(net, mu)[:, 0, :]
+    _, oracle = solve_p1_highs(c, beta, C, x0[0])
+    _, raw_flow = _solve_single_sbs_flow(c, beta, C, x0[0], canonical=False)
+    objs = {"oracle": oracle, "flow": raw_flow}
+    for batched in (True, False):
+        sol = solve_caching(net, mu, x0, config=RuntimeConfig(batched=batched))
         assert set(np.unique(sol.x)) <= {0.0, 1.0}  # Theorem 1: integral
         assert np.all(sol.x.sum(axis=2) <= C)
-        objs[backend] = sol.objective
-    vals = list(objs.values())
-    assert max(vals) - min(vals) < 1e-6 * (1 + abs(vals[0]))
+        assert sol.objective == pytest.approx(caching_objective(net, sol.x, mu, x0))
+        objs[f"batched={batched}"] = sol.objective
+    for name, value in objs.items():
+        assert value == pytest.approx(oracle, abs=1e-6 * (1 + abs(oracle))), name
 
 
 @settings(max_examples=25, deadline=None)

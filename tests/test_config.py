@@ -1,4 +1,4 @@
-"""RuntimeConfig precedence and the deprecated environment fallbacks."""
+"""RuntimeConfig validation and the arg > config > env > default precedence."""
 
 from __future__ import annotations
 
@@ -7,29 +7,19 @@ import warnings
 import pytest
 
 from repro.config import (
-    BACKEND_ENV,
-    BATCHED_TIES_ENV,
     BW_CLOSED_FORM_ENV,
     DEFAULT_SERVE_ADMISSION,
     DEFAULT_SERVE_QUEUE_DEPTH,
     DEFAULT_SERVE_RPS,
     DEFAULT_SERVE_SLOT_SECONDS,
-    EXECUTOR_ENV,
-    FLOW_REUSE_ENV,
     OBS_SLO_ENV,
     SERVE_ADMISSION_ENV,
     SERVE_METRICS_PORT_ENV,
     SERVE_QUEUE_DEPTH_ENV,
     SERVE_RPS_ENV,
     SERVE_SLOT_SECONDS_ENV,
-    WORKERS_ENV,
     RuntimeConfig,
-    deprecated_env,
-    reset_deprecation_warnings,
-    resolved_backend_pin,
-    resolved_batched_ties,
     resolved_bw_closed_form,
-    resolved_flow_reuse,
     resolved_obs_slo,
     resolved_serve_admission,
     resolved_serve_metrics_port,
@@ -43,12 +33,8 @@ from repro.perf.executor import get_executor
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    """Isolate each test from ambient env vars and the warn-once registry."""
+    """Isolate each test from ambient env vars."""
     for name in (
-        WORKERS_ENV,
-        EXECUTOR_ENV,
-        BACKEND_ENV,
-        FLOW_REUSE_ENV,
         SERVE_RPS_ENV,
         SERVE_ADMISSION_ENV,
         SERVE_QUEUE_DEPTH_ENV,
@@ -58,9 +44,6 @@ def _clean_env(monkeypatch):
         BW_CLOSED_FORM_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestRuntimeConfig:
@@ -68,16 +51,12 @@ class TestRuntimeConfig:
         config = RuntimeConfig()
         assert config.executor is None
         assert config.workers is None
-        assert config.caching_backend is None
-        assert config.flow_reuse is None
+        assert config.incremental is None
+        assert config.batched is None
 
     def test_validates_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
             RuntimeConfig(workers=0)
-
-    def test_validates_backend(self):
-        with pytest.raises(ConfigurationError, match="caching_backend"):
-            RuntimeConfig(caching_backend="magic")
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -100,58 +79,12 @@ class TestExecutorPrecedence:
         ex = get_executor("thread:2", config=RuntimeConfig(executor="process:5"))
         assert (ex.kind, ex.workers) == ("thread", 2)
 
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "process:5")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # config path must not touch env
-            ex = get_executor(config=RuntimeConfig(executor="thread:2"))
-        assert (ex.kind, ex.workers) == ("thread", 2)
-
-    def test_env_fallback_still_works(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:4")
-        with pytest.warns(DeprecationWarning, match=EXECUTOR_ENV):
-            ex = get_executor()
-        assert (ex.kind, ex.workers) == ("thread", 4)
-
-
-class TestBackendAndFlowReuse:
-    def test_backend_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "lp")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_backend_pin(RuntimeConfig(caching_backend="flow")) == "flow"
-
-    def test_backend_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "lp")
-        with pytest.warns(DeprecationWarning, match=BACKEND_ENV):
-            assert resolved_backend_pin(None) == "lp"
-
-    def test_backend_env_validated(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "magic")
-        with pytest.raises(ConfigurationError):
-            with pytest.warns(DeprecationWarning):
-                resolved_backend_pin(None)
-
-    def test_flow_reuse_default_on(self):
-        assert resolved_flow_reuse(None) is True
-
-    def test_flow_reuse_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FLOW_REUSE_ENV, "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_flow_reuse(RuntimeConfig(flow_reuse=True)) is True
-
-    def test_flow_reuse_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(FLOW_REUSE_ENV, "0")
-        with pytest.warns(DeprecationWarning, match=FLOW_REUSE_ENV):
-            assert resolved_flow_reuse(None) is False
-
 
 class TestServeKnobs:
     """arg > config > env > default for the four ``serve_*`` settings.
 
-    The ``REPRO_SERVE_*`` variables are *supported* fallbacks (headless
-    deployments), not deprecated ones — resolution never warns.
+    The ``REPRO_SERVE_*`` variables are environment overrides for headless
+    deployments; resolution never warns.
     """
 
     def test_defaults(self):
@@ -264,34 +197,6 @@ class TestTelemetrySettings:
             resolved_serve_metrics_port(None)
 
 
-class TestWarnOnce:
-    def test_each_variable_warns_exactly_once(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(WORKERS_ENV)
-        ours = [w for w in caught if WORKERS_ENV in str(w.message)]
-        assert len(ours) == 1
-        assert "RuntimeConfig(workers=...)" in str(ours[0].message)
-
-    def test_unset_variable_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_env(WORKERS_ENV) is None
-
-    def test_distinct_variables_warn_independently(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        monkeypatch.setenv(FLOW_REUSE_ENV, "1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            deprecated_env(WORKERS_ENV)
-            deprecated_env(FLOW_REUSE_ENV)
-        messages = sorted(str(w.message).split(" ")[0] for w in caught)
-        assert messages == [FLOW_REUSE_ENV, WORKERS_ENV]
-
-
 class TestWaterfillKnobs:
     """arg > config > env > default for the P2 kernel knobs."""
 
@@ -316,32 +221,3 @@ class TestWaterfillKnobs:
         cfg = RuntimeConfig(bw_closed_form=True)
         assert resolved_bw_closed_form(cfg, False) is False
         assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False), True)
-
-
-class TestBatchedTiesKnob:
-    """config > env > default for the tie-aware batched P1 acceptance.
-
-    ``REPRO_BATCHED_TIES`` is a *supported* kill switch (the CI A/B leg
-    sets it), not a deprecated fallback — resolution never warns.
-    """
-
-    def test_default_on(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_batched_ties(None) is True
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(BATCHED_TIES_ENV, "0")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolved_batched_ties(None) is False
-        monkeypatch.setenv(BATCHED_TIES_ENV, "1")
-        assert resolved_batched_ties(None) is True
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BATCHED_TIES_ENV, "0")
-        assert resolved_batched_ties(RuntimeConfig(batched_ties=True)) is True
-        monkeypatch.setenv(BATCHED_TIES_ENV, "1")
-        assert (
-            resolved_batched_ties(RuntimeConfig(batched_ties=False)) is False
-        )

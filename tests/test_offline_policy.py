@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from p1_oracle import solve_caching_highs
 from repro.core.offline import OfflineOptimal
 from repro.scenario import validate_plan
 from repro.sim.engine import evaluate_plan
@@ -31,13 +32,14 @@ class TestOfflineOptimal:
         long = OfflineOptimal(max_iter=80, ub_patience=None).solve(small_scenario)
         assert long.upper_bound <= short.upper_bound + 1e-9
 
-    def test_lp_backend_equivalent(self, small_scenario):
-        flow = OfflineOptimal(max_iter=60, caching_backend="flow").solve(
-            small_scenario
+    def test_lp_backend_equivalent(self, small_scenario, monkeypatch):
+        """Algorithm 1 with P1 answered by the HiGHS oracle lands on the
+        same plan cost as with the library's own P1 path."""
+        flow = OfflineOptimal(max_iter=60).solve(small_scenario)
+        monkeypatch.setattr(
+            "repro.core.primal_dual.solve_caching", solve_caching_highs
         )
-        lp = OfflineOptimal(max_iter=60, caching_backend="lp").solve(
-            small_scenario
-        )
+        lp = OfflineOptimal(max_iter=60).solve(small_scenario)
         assert flow.upper_bound == pytest.approx(lp.upper_bound, rel=1e-2)
 
     def test_evaluation_matches_internal_cost(self, small_scenario):

@@ -5,8 +5,9 @@ thread and process backends change wall-clock time only: every fan-out
 site reduces in fixed SBS/point order, so ``x``, ``y`` and every cost
 number match the serial run exactly — not approximately. These tests pin
 that contract on the three fan-out sites: the offline solve (per-SBS
-``P1`` fan-out inside Algorithm 1), the online RHC controller (executor
-picked up from the environment), and the distributed per-SBS solver.
+``P1`` fan-out inside Algorithm 1), the per-policy fan-out of
+``run_policies`` (online RHC and the offline policy), and the distributed
+per-SBS solver.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from repro.core.online.base import OnlineSolveSettings
 from repro.core.online.rhc import RHC
 from repro.core.primal_dual import solve_primal_dual
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
-from repro.perf.executor import EXECUTOR_ENV, WORKERS_ENV
+from repro.config import RuntimeConfig
 from repro.scenario import Scenario
-from repro.sim.runner import run_policy
+from repro.sim.runner import run_policies, run_policy
 from repro.workload.demand import paper_demand
 from repro.workload.predictor import PerturbedPredictor
 
@@ -80,28 +81,28 @@ class TestOfflineDeterminism:
 
 
 class TestOnlineDeterminism:
-    """RHC has no executor knob; the environment must reach its solves."""
+    """Policies fanned out by ``run_policies`` match their serial runs."""
 
     @pytest.mark.parametrize("spec", PARALLEL_SPECS)
-    def test_rhc_matches_serial(self, two_sbs_scenario, spec, monkeypatch):
+    def test_rhc_matches_serial(self, two_sbs_scenario, spec):
         policy = RHC(
             window=3, settings=OnlineSolveSettings(max_iter=15, ub_patience=5)
         )
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
         serial = run_policy(two_sbs_scenario, policy)
-        monkeypatch.setenv(EXECUTOR_ENV, spec)
-        parallel = run_policy(two_sbs_scenario, policy)
-        _assert_same_run(serial, parallel)
+        parallel = run_policies(
+            two_sbs_scenario, [policy, policy], config=RuntimeConfig(executor=spec)
+        )
+        for result in parallel.values():
+            _assert_same_run(serial, result)
 
-    def test_offline_policy_matches_serial(self, two_sbs_scenario, monkeypatch):
+    def test_offline_policy_matches_serial(self, two_sbs_scenario):
         policy = OfflineOptimal(max_iter=20)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
         serial = run_policy(two_sbs_scenario, policy)
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = run_policy(two_sbs_scenario, policy)
-        _assert_same_run(serial, parallel)
+        parallel = run_policies(
+            two_sbs_scenario, [policy, policy], config=RuntimeConfig(workers=2)
+        )
+        for result in parallel.values():
+            _assert_same_run(serial, result)
 
 
 class TestDistributedDeterminism:

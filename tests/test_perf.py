@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import RuntimeConfig
 from repro.exceptions import ConfigurationError
 from repro.perf.executor import (
-    EXECUTOR_ENV,
-    WORKERS_ENV,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -76,11 +75,6 @@ class TestExecutors:
 
 
 class TestSelection:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-
     def test_default_is_serial(self):
         assert get_executor().kind == "serial"
 
@@ -97,29 +91,24 @@ class TestSelection:
         assert get_executor("serial").kind == "serial"
         assert get_executor("process:1").kind == "serial"
 
-    def test_workers_env_selects_process(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        ex = get_executor()
+    def test_workers_config_selects_process(self):
+        ex = get_executor(config=RuntimeConfig(workers=3))
         assert ex.kind == "process" and ex.workers == 3
 
-    def test_executor_env_spec(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
-        ex = get_executor()
+    def test_executor_config_spec(self):
+        ex = get_executor(config=RuntimeConfig(executor="thread:2"))
         assert ex.kind == "thread" and ex.workers == 2
 
-    def test_explicit_spec_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "thread:2")
-        assert get_executor("serial").kind == "serial"
+    def test_explicit_spec_beats_config(self):
+        config = RuntimeConfig(executor="thread:2")
+        assert get_executor("serial", config=config).kind == "serial"
 
     def test_shared_pool_reused(self):
         assert get_executor("thread:3") is get_executor("thread:3")
 
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
-        assert default_workers() == 7
-        monkeypatch.setenv(WORKERS_ENV, "x")
-        with pytest.raises(ConfigurationError):
-            default_workers()
+    def test_kind_only_spec_uses_default_workers(self):
+        ex = get_executor(config=RuntimeConfig(executor="thread"))
+        assert ex.workers == default_workers()
 
     def test_default_workers_without_env_positive(self):
         assert default_workers() >= 1

@@ -37,6 +37,48 @@ class TestJointProblem:
                 tiny_network, np.ones((2, 3, 4)), x_initial=np.full((1, 4), 0.5)
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("demand", np.nan),
+            ("demand", np.inf),
+            ("replacement_cost", np.nan),
+            ("replacement_cost", np.inf),
+            ("bandwidth", np.nan),
+            ("omega_bs", np.nan),
+            ("omega_bs", np.inf),
+            ("omega_sbs", np.nan),
+            ("bandwidth", np.inf),  # legal: an uncapacitated SBS link
+        ],
+    )
+    def test_non_finite_inputs_raise_or_solve_finite(self, field, value):
+        """Hostile values raise a typed error at construction; none may
+        reach Algorithm 1 and come back as NaN bounds."""
+        params = dict(bandwidth=3.0, replacement_cost=2.0, omega_bs=0.5, omega_sbs=0.0)
+        demand = np.random.default_rng(0).uniform(0.0, 3.0, (3, 2, 20))
+        if field == "demand":
+            demand[1, 0, 4] = value
+        else:
+            params[field] = value
+
+        def build():
+            net = single_cell_network(
+                num_items=20,
+                cache_size=3,
+                bandwidth=params["bandwidth"],
+                replacement_cost=params["replacement_cost"],
+                omega_bs=[params["omega_bs"], 0.3],
+                omega_sbs=[params["omega_sbs"], 0.0],
+            )
+            return JointProblem(net, demand)
+
+        if field == "bandwidth" and value == np.inf:
+            result = solve_primal_dual(build(), max_iter=10)
+            assert np.isfinite([result.upper_bound, result.lower_bound]).all()
+        else:
+            with pytest.raises(ConfigurationError):
+                build()
+
     def test_check_feasible_accepts_valid(self, tiny_problem):
         x = np.zeros(tiny_problem.x_shape)
         x[:, 0, 0] = 1.0
@@ -154,6 +196,8 @@ class TestPrimalDual:
             solve_primal_dual(tiny_problem, polyak_relax=5.0)
         with pytest.raises(ConfigurationError):
             solve_primal_dual(tiny_problem, mu0=np.zeros((1, 1, 1)))
+        with pytest.raises(ConfigurationError):
+            solve_primal_dual(tiny_problem, caching_backend="lp")
 
     def test_integral_caches_always(self, small_scenario):
         result = solve_primal_dual(small_scenario.problem(), max_iter=30)

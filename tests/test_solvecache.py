@@ -1,28 +1,19 @@
 """Tests for the incremental re-solve layer (``repro.perf.solvecache``).
 
-The layer's two load-bearing invariants (DESIGN.md, "Incremental
-re-solve"):
-
-- **digest-exact skips only** — a memo hit returns bitwise the answer the
-  cold solve produced, so hit/miss patterns can never change a number;
-- **warm-resume matches cold solve** — ``MinCostFlow.resume`` agrees with
-  ``cold_solve`` to 1e-9 on the optimal cost for arbitrary price changes,
-  including sign flips, either by settling or by deterministically bailing
-  to the cold path.
+The layer's load-bearing invariant (DESIGN.md, "Incremental re-solve") is
+**digest-exact skips only**: a memo hit returns bitwise the answer the cold
+solve produced, so hit/miss patterns can never change a number.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import RuntimeConfig, resolved_incremental
-from repro.core.caching_lp import _build_flow_template, solve_caching
-from repro.exceptions import ConfigurationError
+from repro.core.caching_lp import solve_caching
 from repro.network.topology import single_cell_network
-from repro.optim.mincostflow import MinCostFlow
-from repro.perf.solvecache import BACKOFF_CAP, SolveCache, p1_digest
+from repro.perf.solvecache import SolveCache, p1_digest
 
 
 def _network(rng, *, num_classes=4, num_items=6, cache_size=2):
@@ -90,63 +81,7 @@ class TestSolveCacheMemo:
 
     def test_stats_keys(self):
         stats = SolveCache().stats()
-        assert set(stats) == {
-            "p1_memo_hits",
-            "p1_memo_misses",
-            "p1_memo_hit_rate",
-            "p1_quant_memo_hits",
-            "flow_warm_resumes",
-            "flow_warm_bailouts",
-            "flow_warm_disabled_keys",
-        }
-
-
-class TestResumeBackoff:
-    def test_bails_trigger_exponential_cooldown(self):
-        cache = SolveCache()
-        key = (0, 3, 4, 2)
-        cache.flow_states[key] = "state"  # duck-typed: only identity matters
-        assert cache.warm_state_for(key) == "state"
-        cache.note_resume(key, bailed=True)
-        # cooldown 2: two skipped attempts, then a re-probe
-        assert cache.warm_state_for(key) is None
-        assert cache.warm_state_for(key) is None
-        assert cache.warm_state_for(key) == "state"
-        cache.note_resume(key, bailed=True)  # second strike: cooldown 4
-        skips = sum(cache.warm_state_for(key) is None for _ in range(4))
-        assert skips == 4
-        assert cache.warm_state_for(key) == "state"
-
-    def test_success_clears_backoff(self):
-        cache = SolveCache()
-        key = (0, 3, 4, 2)
-        cache.flow_states[key] = "state"
-        for _ in range(5):
-            cache.note_resume(key, bailed=True)
-        assert cache.resume_backoff[key][1] == 32
-        cache.note_resume(key, bailed=False)
-        assert key not in cache.resume_backoff
-        assert cache.warm_state_for(key) == "state"
-
-    def test_exhausted_backoff_disables_key(self):
-        cache = SolveCache()
-        key = (0, 3, 4, 2)
-        cache.flow_states[key] = "state"
-        # Strikes 1..6 schedule cooldowns 2..BACKOFF_CAP; the next strike
-        # would need double the cap and disables the key instead.
-        strikes_to_disable = BACKOFF_CAP.bit_length()
-        disabled = [
-            cache.note_resume(key, bailed=True) for _ in range(strikes_to_disable)
-        ]
-        assert disabled == [False] * (strikes_to_disable - 1) + [True]
-        assert cache.is_resume_disabled(key)
-        assert cache.warm_state_for(key) is None
-        assert key not in cache.flow_states  # state dropped, not retained
-        assert key not in cache.resume_backoff
-        assert cache.stats()["flow_warm_disabled_keys"] == 1
-        # A disabled key stays disabled: further outcomes change nothing.
-        assert cache.note_resume(key, bailed=False) is False
-        assert cache.is_resume_disabled(key)
+        assert set(stats) == {"p1_memo_hits", "p1_memo_misses", "p1_memo_hit_rate"}
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,81 +109,6 @@ def test_memo_hits_return_exact_cold_solutions(seed: int):
     repeats = len(order) - len(set(order))
     assert cache.hits == repeats * net.num_sbs
     assert cache.misses == len(set(order)) * net.num_sbs
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1))
-def test_warm_resume_matches_cold_solve(seed: int):
-    """resume() == cold_solve() on random perturbations incl. sign flips."""
-    rng = np.random.default_rng(seed)
-    T, K, cap = 5, 6, 2
-    template = _build_flow_template(T, K, cap)
-    g = template.graph
-    beta = float(rng.uniform(0.0, 5.0))
-    x0 = (rng.random(K) > 0.6).astype(np.float64)
-
-    def apply_costs(c):
-        fetch = np.full((T, K), beta)
-        fetch[0, x0 > 0.5] = 0.0
-        g.set_arc_costs(template.fetch_arcs, fetch)
-        g.set_arc_costs(template.hold_arcs, -c)
-
-    c = rng.uniform(0.0, 4.0, size=(T, K))
-    apply_costs(c)
-    g.reset()
-    g.solve(template.src, template.snk, cap, dag=True)
-    state = g.export_state()
-
-    for _ in range(6):
-        scale = float(rng.choice([0.01, 0.5, 3.0]))
-        c = np.maximum(c + rng.normal(0.0, scale, size=(T, K)), 0.0)
-        apply_costs(c)
-        warm = g.resume(template.src, template.snk, cap, state, dag=True)
-        state = g.export_state()
-        cold = g.cold_solve(template.src, template.snk, cap, dag=True)
-        assert warm.amount == cold.amount == cap
-        assert warm.cost == pytest.approx(cold.cost, abs=1e-9, rel=1e-9)
-
-
-class TestResumeUnit:
-    def _solved_template(self):
-        rng = np.random.default_rng(7)
-        T, K, cap = 4, 5, 2
-        template = _build_flow_template(T, K, cap)
-        g = template.graph
-        c = rng.uniform(0.0, 3.0, size=(T, K))
-        fetch = np.full((T, K), 2.0)
-        g.set_arc_costs(template.fetch_arcs, fetch)
-        g.set_arc_costs(template.hold_arcs, -c)
-        g.solve(template.src, template.snk, cap, dag=True)
-        return template, g, cap
-
-    def test_resume_rejects_mismatched_state(self):
-        template, g, cap = self._solved_template()
-        state = g.export_state()
-        other = MinCostFlow(3)
-        other.add_arc(0, 1, 1, 0.0)
-        other.add_arc(1, 2, 1, 0.0)
-        with pytest.raises(ConfigurationError):
-            other.resume(0, 2, 1, state)
-
-    def test_resume_with_unchanged_costs_is_a_noop_rerun(self):
-        template, g, cap = self._solved_template()
-        baseline = g.cold_solve(template.src, template.snk, cap, dag=True)
-        state = g.export_state()
-        warm = g.resume(template.src, template.snk, cap, state, dag=True)
-        assert not g.last_resume_bailed
-        assert warm.amount == baseline.amount
-        assert warm.cost == pytest.approx(baseline.cost, abs=1e-12)
-        assert np.array_equal(warm.arc_flow, baseline.arc_flow)
-
-    def test_export_before_solve_raises(self):
-        g = MinCostFlow(2)
-        g.add_arc(0, 1, 1, 0.0)
-        from repro.exceptions import SolverError
-
-        with pytest.raises(SolverError):
-            g.export_state()
 
 
 class TestIncrementalConfig:
