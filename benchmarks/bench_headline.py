@@ -48,6 +48,7 @@ _SOLVE_COUNTERS = (
     "p2_bw_closed_form",
     "p2_bisection_fallbacks",
     "p2_bisection_fills",
+    "p2_bisection_replayed",
 )
 
 
@@ -193,9 +194,11 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
             )
 
     # Every bandwidth-bound P2 row is accounted for: answered by the
-    # closed-form parametric solve or counted as a bisection fallback.
+    # closed-form parametric solve or counted as a bisection fallback, of
+    # which the threshold replay answers a subset.
     counters = payload["solve_counters"]
     assert (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         == counters["p2_bw_bound_rows"]
     )
+    assert counters["p2_bisection_replayed"] <= counters["p2_bisection_fallbacks"]

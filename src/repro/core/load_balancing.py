@@ -17,15 +17,17 @@ per-bandwidth-unit benefit ``kappa_j = 2 r omega_j - mu_j / lambda_j`` and
 fill greedily up to the bandwidth, and the resulting residual is monotone
 in ``r``. Both the loop and batched layouts route every (SBS, slot) row
 through :func:`repro.optim.waterfill.waterfill_batch`, which solves the
-fixed point *in closed form*: a single threshold scan whenever the
-bandwidth constraint is slack (the overwhelmingly common case) and the
-exact parametric bound solve (DESIGN.md §7) when it binds, with the
-legacy residual bisection retained only as a fallback for degenerate
-rows and as the A/B reference (``closed_form=False``). Both layouts are
-bit-identical by construction, and results agree with the historical
-all-bisection solver to the documented ``<= 1e-9`` objective envelope
-(the closed form is exact where the bisection was a ``2^-26``-bracketed
-approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM``)
+fixed point with a single threshold scan whenever the bandwidth
+constraint is slack (the common case). When it binds, rows with at most
+two distinct weights take the exact parametric bound solve (DESIGN.md §7)
+and all others — every bound row of an SBS serving three or more MU
+classes of distinct weight, as in the paper's scenarios — take the
+26-level residual bisection, which replays its levels from one located
+threshold (``closed_form=False`` sends every bound row there for A/B
+runs). Both layouts are bit-identical by construction, and results agree
+with the historical all-bisection solver to the documented ``<= 1e-9``
+objective envelope (the closed form is exact where the bisection is a
+``2^-26``-bracketed approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM``)
 selects the path; the resolution happens once in :func:`solve_p2` /
 :func:`solve_y_given_x` and is threaded through every kernel and
 projection call below. The general case (``omega-hat > 0`` or

@@ -30,77 +30,119 @@ collapses to a one-dimensional fixed point over a *sorted threshold scan*:
 
 Closed-form solve, bandwidth bound (:func:`_solve_bw_bound`)
 ------------------------------------------------------------
-Rows whose slack-scan allocation exceeds the bandwidth historically fell
-back to a 26-iteration bisection. They are now solved exactly as well, via
-a parametric KKT enumeration. With a bandwidth multiplier ``theta >= 0``
-the optimum fills every item whose benefit margin ``kappa_j(r) = 2 s r
-omega_j - slope_j`` exceeds ``theta``, zeroes those below, and puts at
-most one *partial* item exactly at ``theta``. ``P2`` rows carry at most
-two distinct positive weights (one ``omega`` per MU class of the SBS —
-``G <= 2`` after padding), so splitting the items into a high-weight and a
-low-weight group, each sorted by ``slope`` (within a group the ``kappa``
-order equals the slope order and is independent of ``r``), makes the
-candidate set enumerable: a candidate is "the first ``i`` items of one
-group at capacity, the other group greedily filled with the remaining
-bandwidth, the marginal item partial". Every candidate spends the whole
-bandwidth, so its fill volume collapses to ``u(i) = m_M bw + (m_F - m_M)
-P_F[i]`` — monotone in the prefix sum ``P_F[i]`` — and the KKT residual
-``f(i) = kappa_excl(i) - theta(i)`` (first excluded full-group item's
-margin minus the marginal item's) is non-increasing in ``i``. A
-vectorized binary search over ``i`` — O(A log J) gather/compare steps
-instead of any O(A J) candidate table — brackets the sign change, and
-the exact KKT conditions (``theta >= 0``; every filled item's ``kappa >=
-theta``; every zeroed item's ``kappa <= theta``) are then certified on a
-small window of candidates around it, which by convexity certifies
-*global* optimality — no fixed-point iteration, no bracketing error. One
-shared argsort by slope, two cumsum-positioned group compactions, prefix
-scans, and two binary searches replace up to 26 fresh greedy fills.
+Rows whose slack-scan allocation exceeds the bandwidth are solved exactly
+when their cap-positive items carry at most two distinct positive weights,
+via a parametric KKT enumeration. A ``P2`` row holds one weight per MU
+class of its SBS, so this covers SBSs with one or two classes (or classes
+of equal weight); the paper's scenarios and the multicell workload have
+three or more distinct weights on every row, and those rows go to the
+bisection below. With a bandwidth multiplier ``theta >= 0`` the optimum
+fills every item whose benefit margin ``kappa_j(r) = 2 s r omega_j -
+slope_j`` exceeds ``theta``, zeroes those below, and puts at most one
+*partial* item exactly at ``theta``. Splitting the items into a
+high-weight and a low-weight group, each sorted by ``slope`` (within a
+group the ``kappa`` order equals the slope order and is independent of
+``r``), makes the candidate set enumerable: a candidate is "the first
+``i`` items of one group at capacity, the other group greedily filled with
+the remaining bandwidth, the marginal item partial". Every candidate
+spends the whole bandwidth, so its fill volume collapses to ``u(i) = m_M
+bw + (m_F - m_M) P_F[i]`` — monotone in the prefix sum ``P_F[i]`` — and
+the KKT residual ``f(i) = kappa_excl(i) - theta(i)`` (first excluded
+full-group item's margin minus the marginal item's) is non-increasing in
+``i``. A vectorized binary search over ``i`` — O(A log J) gather/compare
+steps instead of any O(A J) candidate table — brackets the sign change,
+and the exact KKT conditions (``theta >= 0``; every filled item's ``kappa
+>= theta``; every zeroed item's ``kappa <= theta``) are then certified on
+a small window of candidates around it, which by convexity certifies
+*global* optimality — no fixed-point iteration, no bracketing error.
 
 Fallback criteria: rows with three or more distinct positive weights
-among cap-positive items (never produced by ``P2``, but the kernel is
-general), rows where an item with non-positive weight could become
-eligible (negative slope), and degenerate cross-group ``kappa`` ties
-whose optimum needs two simultaneously-partial items (a measure-zero
-coincidence under continuous inputs: it requires ``2 s r (omega_H -
-omega_L) = slope_H - slope_L`` to hold exactly at the optimum) are routed
-to the legacy bisection below. The counters ``p2_bw_bound_rows``,
+among cap-positive items, rows where an item with non-positive weight
+could become eligible (negative slope), and degenerate cross-group
+``kappa`` ties whose optimum needs two simultaneously-partial items (a
+measure-zero coincidence under continuous inputs: it requires ``2 s r
+(omega_H - omega_L) = slope_H - slope_L`` to hold exactly at the optimum)
+are routed to the bisection below. The counters ``p2_bw_bound_rows``,
 ``p2_bw_closed_form`` and ``p2_bisection_fallbacks`` (see
 :mod:`repro.obs`) account for every bound row:
 ``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
 
-Legacy bisection (A/B reference, and the fallback)
---------------------------------------------------
+Residual bisection and the threshold replay
+-------------------------------------------
 The greedy fill at residual ``r`` ranks items by ``kappa_j(r)`` and pours
-bandwidth down the ranking; bisection finds ``W - u(r) = r`` in
-:data:`BISECTION_ITERS` steps. The fill depends on ``r`` only through its
-*allocated prefix*: the items in sorted order up to and including the one
-whose running cap sum reaches ``bw``, plus a ``tight`` flag saying the
-prefix uses up the bandwidth. Items past a tight prefix get exact zeros
-in any order: every later running sum ``A`` is at least the prefix's
-``cum_p``, ``fl(fl(A + c) - c)`` is monotone in ``A``, and a state is
-stored as tight only after ``fl(fl(cum_p + c) - c) >= bw`` is checked for
-every cap ``c`` past the prefix (otherwise the prefix is the whole
-eligible set and every other item must stay ineligible). Those zeros add
-``+0.0`` to the sequential ``u`` scan, so ``u`` is the prefix's alone.
+bandwidth down the ranking; the bisection runs :data:`BISECTION_ITERS`
+levels on ``G(r) = W - u(r) - r`` from the bracket ``[0, max(W, 1e-12)]``
+and interpolates between the fills at the final bracket's two ends. Its
+answer is defined by that fixed-depth arithmetic (``early_exit=False``
+runs it with a fresh fill at every level and both ends, ``26 + 2`` per
+row); everything below returns the same bytes with fewer fills.
 
-The kernel stores the last state evaluated on each side of the bracket.
-At a midpoint a stored state is valid, making ``u(mid)`` free, when (1)
-the prefix's ``(key, column)`` pairs are finite and strictly increasing
-along the stored order (exactly what a stable argsort yields) and (2) no
-other pair sorts at or before the prefix's last one; for a non-tight
-prefix, every other item is ineligible. Given (1), (2) is one count over
-the row, so the tail past the prefix may reorder without costing a fill.
-Each ``kappa_j(r)`` is linear in ``r``, so a prefix valid at both ends of
-a bracket is valid throughout it: a *cross-side* match fixes the fill on
-the whole bracket, where the fixed-depth bisection would interpolate
-between two identical fills, and the row settles at once. Reuse and
-settling are bitwise-invisible; ``early_exit=False`` runs every iteration
-with fresh fills as the in-kernel reference, and the
-``p2_bisection_fills`` counter reports the fresh fills.
+*Fill states.* The fill depends on ``r`` only through its *allocated
+prefix*: the items in sorted order up to and including the one whose
+running cap sum reaches ``bw``, plus a ``tight`` flag saying the prefix
+uses up the bandwidth. Items past a tight prefix get exact zeros in any
+order: every later running sum ``A`` is at least the prefix's ``cum_p``,
+``fl(fl(A + c) - c)`` is monotone in ``A``, and a state is stored as
+tight only after ``fl(fl(cum_p + c) - c) >= bw`` is checked for every cap
+``c`` past the prefix (otherwise the prefix is the whole eligible set and
+every other item must stay ineligible). Those zeros add ``+0.0`` to the
+sequential ``u`` scan, so ``u`` is the prefix's alone. A stored state is
+valid at a residual, making its fill free there, when (1) the prefix's
+``(key, column)`` pairs are finite and strictly increasing along the
+stored order (exactly what a stable argsort yields) and (2) no other pair
+sorts at or before the prefix's last one; for a non-tight prefix, every
+other item is ineligible. Given (1), (2) is one count over the row.
+
+*One threshold decides every level.* Level ``k`` goes right when
+``fl(W - u(mid_k)) > mid_k``. The greedy fill maximizes ``sum kappa_j(r)
+alloc_j``, a convex function of ``r`` whose slope is ``2 s u(r)``, so
+``u`` never falls as ``r`` grows, ``fl(W - u(r))`` never rises, and every
+level's decision is ``mid_k < theta`` for one threshold ``theta`` per row.
+Each evaluated residual bounds ``theta`` from both sides: a point that
+goes right at its own fixed point ``q = fl(W - u)`` caps ``theta`` at
+``q`` (every residual at or above ``q`` fills at least as much), one that
+goes left floors it at ``q``; levels outside the bounds are decided with
+no fill. A fresh state ``S`` whose fixed point is the threshold —
+``theta = q_S``, the root inside ``S``'s interval — *locates* the row:
+the remaining levels replay as scalar compares in the loop's own ``0.5 *
+(r_lo + r_hi)`` arithmetic, and if ``S`` is valid at both ends of the
+bracket that replay leaves, the row is answered from ``S``. That check
+is also the proof: every level's midpoint lies at or below the final low
+end, where ``S`` goes right, or at or above the final high end, where
+``S`` goes left, so monotonicity fixes every level as the replay did,
+and both closing fills are ``S``. After the first level,
+:data:`PROBES` regula-falsi probes (a fixed-point step while only one
+side is known) look for that state before the levels go on; every
+probe's decision and bounds count like a level's. Rows the search cannot
+locate — a root at a jump between two states, where no state holds its
+own fixed point — go on level by level, matching the states stored for
+each side of the bracket and filling fresh only when neither fits, and
+close with the existing interpolation. ``p2_bisection_fills`` counts
+the fresh fills, ``p2_bisection_replayed`` the located rows.
+
+*Float caveats and the weight guard.* ``kappa`` is evaluated as ``slope
+- fl(fl(2 s r) omega)``, monotone in ``r`` per item, so eligibility never
+flips back; but two items' order can. For two distinct weights with
+relative gap above ``2^-50`` the products ``fl(c omega)`` differ for
+every ``c > 0``, so equal-slope items keep the weight order at every
+residual; closer weights tie for some ``c`` and not others, the column
+tie-break then swaps them back and forth, and a row's fill can move
+between two states inside a bracket whose ends agree. Rows holding two
+distinct cap-positive weights within :data:`WEIGHT_GUARD` (``1e-12``,
+``2^10`` above that gap and far below any class-weight gap a model
+draws) therefore take no bounds and no replay: they evaluate every level,
+reusing a stored state only where it matches exactly. Outside the guard,
+two items with different slopes swap order noisily only near their
+crossing, within about ``4 eps / gap`` relative (``eps`` the unit
+roundoff, ``gap`` their relative weight gap); a replayed decision could
+differ from the fixed-depth one only if a level landed in that window
+while the swap moved the row's root. The closing ends are always checked
+exactly.
+
 ``closed_form=False`` (or ``REPRO_BW_CLOSED_FORM=0``) demotes every bound
-row to this path for cost-drift A/B runs. State arrays are allocated at
-the *compressed* width of each fallback subset (columns with positive cap
-in some row), never at the padded width.
+row to the bisection for cost-drift A/B runs. State arrays are allocated
+at the *compressed* width of each bisected subset (columns with positive
+cap in some row), never at the padded width.
 
 Memory discipline
 -----------------
@@ -121,11 +163,19 @@ from repro.obs.recorder import inc
 from repro.types import FloatArray, IntArray
 
 _INF = np.inf
-_FMAX = np.finfo(np.float64).max
+_TINY = np.finfo(np.float64).smallest_subnormal
 
-#: Depth of the legacy bisections (residual water-fill and capped-block
-#: theta): 26 iterations bracket the root to ``~2^-26`` relative accuracy.
+#: Depth of the bisections (residual water-fill and capped-block theta): 26
+#: iterations bracket the root to ``~2^-26`` relative accuracy.
 BISECTION_ITERS = 26
+
+#: Relative gap at or below which two distinct weights count as tied, so the
+#: row takes no threshold replay (module docstring, "Float caveats").
+WEIGHT_GUARD = 1e-12
+
+#: Regula-falsi probes the bisection spends, after its first level, on
+#: locating each row's threshold before it goes on level by level.
+PROBES = 2
 
 #: Row-chunk size for the active-row stages, in matrix elements. Chunks of
 #: ``max(1, _CHUNK_ELEMS // J)`` rows keep per-stage temporaries at a few
@@ -168,13 +218,14 @@ def waterfill_batch(
         per group, not per row. ``None`` treats the whole batch as one
         group.
     early_exit:
-        Enable the state-reuse fast path of the legacy bisection
-        (bitwise-invisible; see module docstring).
+        Enable state reuse and the threshold replay in the bisection
+        (bitwise-invisible; see module docstring). ``False`` runs the
+        fixed-depth reference.
     closed_form:
         Solve bandwidth-bound rows by the exact parametric path (see
         module docstring). ``None`` resolves via
         :func:`repro.config.resolved_bw_closed_form` (default on);
-        ``False`` demotes every bound row to the legacy bisection.
+        ``False`` demotes every bound row to the bisection.
 
     Returns
     -------
@@ -282,39 +333,49 @@ def waterfill_batch(
 
     use_closed = resolved_bw_closed_form(None, closed_form)
 
-    def bisect_rows_legacy(
+    def bisect_rows(
         rows: IntArray,
         om_a: FloatArray,
         cp_a: FloatArray,
         sl_a: FloatArray,
         W_a: FloatArray,
         bw_a: FloatArray,
-    ) -> int:
-        """Legacy residual bisection over one subset of bound rows.
+    ) -> tuple[int, int]:
+        """Residual bisection over one subset of bound rows.
 
         State arrays live at the subset's compressed column width (columns
         with positive cap in some row) — dropping the rest is
         bitwise-invisible exactly as in the kernel-level compression —
         so the reference path never allocates O(rows x J) state. Returns
-        the number of fresh greedy fills it ran.
+        the number of fresh greedy fills it ran and the number of rows
+        whose threshold it located and replayed.
         """
         kc = np.flatnonzero((cp_a > 0).any(axis=0))
         Jc = kc.size
         if Jc == 0:
-            return 0  # nothing routable; alloc and u stay zero
-        om_c = np.ascontiguousarray(om_a[:, kc])
-        cp_c = np.ascontiguousarray(cp_a[:, kc])
-        sl_c = np.ascontiguousarray(sl_a[:, kc])
+            return 0, 0  # nothing routable; alloc and u stay zero
+        om_b = np.ascontiguousarray(om_a[:, kc])
+        cp_b = np.ascontiguousarray(cp_a[:, kc])
+        # +inf slopes keep cap-0 items ineligible at every residual.
+        sl_b = np.where(cp_b > 0, sl_a[:, kc], _INF)
         colc = np.arange(Jc)
-
-        act_l = np.arange(rows.size)
-        r_lo = np.zeros(rows.size)
-        r_hi = np.maximum(W_a, 1e-12)
         A = rows.size
         fills = 0
+        narrow_u = bool(np.isfinite(om_b).all() and not np.signbit(om_b).any())
+
+        r_lo = np.zeros(A)
+        r_hi = np.maximum(W_a, 1e-12)
+        # Located threshold bounds: a midpoint below ``t_lo`` goes right
+        # and one at or above ``t_hi`` goes left, with no fill. Rows inside
+        # the weight guard keep them open and evaluate every midpoint.
+        t_lo = np.full(A, -_INF)
+        t_hi = np.full(A, _INF)
+        bounded = ~_near_tied_weights(om_b, cp_b) if early_exit else np.zeros(A, bool)
+        # Rows answered from a located threshold, written out already.
+        done = np.zeros(A, dtype=bool)
         # Stored fill state per bracket side: sort order, allocated-prefix
-        # length, tight flag, u, and a "present" flag. Invariant: a flagged
-        # side's state is fill-valid at that side's current residual.
+        # length, tight flag, u, a "present" flag, and a "valid at the
+        # side's current residual" flag.
         ol = np.zeros((A, Jc), dtype=np.intp)
         oh = np.zeros((A, Jc), dtype=np.intp)
         ul = np.zeros(A)
@@ -325,269 +386,364 @@ def waterfill_batch(
         th = np.zeros(A, dtype=bool)
         hl = np.zeros(A, dtype=bool)
         hh = np.zeros(A, dtype=bool)
+        vl = np.zeros(A, dtype=bool)
+        vh = np.zeros(A, dtype=bool)
+        sides = ((ol, pl, tl, ul, hl), (oh, ph, th, uh, hh))
 
-        def state_fill(
-            order: IntArray, p: IntArray, cp: FloatArray, bw: FloatArray
-        ) -> FloatArray:
-            """Replay a stored fill state; returns the compressed allocation.
+        def keys_at(sub: IntArray, r: FloatArray) -> FloatArray:
+            """Keys ``slope - 2 s r omega`` of rows ``sub`` at residuals
+            ``r``: rounding is sign-symmetric, so a key is bitwise the
+            negated benefit margin ``-kappa``, and an item is eligible
+            exactly when its key is negative."""
+            if sub.size == A:  # every row, in order
+                return sl_b - two_s * r[:, None] * om_b
+            return sl_b[sub] - two_s * r[:, None] * om_b[sub]
 
-            Only the prefix is replayed: every item past it receives an
-            exact ``+0.0``, which the zero-initialized output already holds.
+        def fill(
+            key: FloatArray, sub: IntArray
+        ) -> tuple[IntArray, IntArray, np.ndarray, FloatArray]:
+            """Fresh greedy fill of rows ``sub`` from their keys.
+
+            Returns the state (sort order, allocated-prefix length, tight
+            flag) and ``u``.
             """
-            n = order.shape[0]
-            w = int(p.max()) if n else 0
-            sidx = np.arange(n)[:, None]
-            o = order[:, :w]
-            caps_sorted = np.where(colc[:w] < p[:, None], cp[sidx, o], 0.0)
+            # Ineligible items sort last, in column order.
+            key = np.where(key < 0, key, _INF)
+            order = np.argsort(key, axis=1, kind="stable")
+            # Eligible items have finite keys and sort first.
+            m = (key < _INF).sum(axis=1)
+            cp_f = cp_b[sub[:, None], order]
+            caps_sorted = np.where(colc < m[:, None], cp_f, 0.0)
             cum = np.cumsum(caps_sorted, axis=1)
-            alloc = np.zeros((n, Jc))
-            alloc[sidx, o] = np.clip(
-                bw[:, None] - (cum - caps_sorted), 0.0, caps_sorted
-            )
-            return alloc
+            bw_f = bw_a[sub, None]
+            # Allocated prefix: the eligible items up to the one whose
+            # running cap sum reaches bw. It is tight only if every item
+            # past it gets an exact zero in *any* order: each later running
+            # sum is >= cum_p and fl(fl(A + c) - c) is monotone in A, so
+            # ``bw - fl(fl(cum_p + c) - c) <= 0`` for every cap c past the
+            # prefix suffices. Otherwise keep the whole eligible set, with
+            # every other item ineligible.
+            p = (cum < bw_f).sum(axis=1) + 1
+            tight = p <= m
+            if tight.any():
+                cum_p = np.take_along_axis(cum, np.minimum(p, Jc)[:, None] - 1, axis=1)
+                # Columns before every row's prefix end pass trivially.
+                k0 = min(int(p.min()), Jc)
+                cp_t = cp_f[:, k0:]
+                tight &= np.all(
+                    ((cum_p + cp_t) - cp_t >= bw_f) | (colc[k0:] < p[:, None]), axis=1
+                )
+            p = np.where(tight, p, m)
+            # Every item past the prefix gets an exact +0.0, so with finite
+            # non-negative weights its +0.0 term leaves the sequential u scan
+            # unchanged and the scan can stop at the longest prefix.
+            w = int(p.max()) if narrow_u else Jc
+            cs = caps_sorted[:, :w]
+            alloc_sorted = np.clip(bw_f - (cum[:, :w] - cs), 0.0, cs)
+            terms = alloc_sorted * om_b[sub[:, None], order[:, :w]]
+            u = np.cumsum(terms, axis=1)[:, -1] if w else np.zeros(sub.size)
+            return order, p, tight, u
 
         def state_match(
-            key: FloatArray,
-            sub: IntArray,
-            order: IntArray,
-            p: IntArray,
-            tight: np.ndarray,
-        ) -> IntArray:
-            """Rows (subset indices into ``key``) whose key row provably
-            fills like the stored state.
+            kr: FloatArray, o: IntArray, pp: IntArray, ts: np.ndarray
+        ) -> np.ndarray:
+            """Mask of key rows ``kr`` that provably fill like the stored
+            state with order prefix ``o``, prefix length ``pp`` and tight
+            flag ``ts``.
 
-            A stable argsort orders by ``(key, column)``. The fill is fixed
-            by its allocated prefix alone when (1) the prefix's pairs are
-            finite and strictly increasing along the stored order, and (2)
-            no other pair sorts at or before the prefix's last one — for a
-            non-tight prefix, before ``+inf``: every other item is
-            ineligible. Given (1), (2) is a count: exactly ``p`` pairs sort
-            at or before the bound. Counting keys ``<=`` the bound key
-            settles it unless another item ties that key; only those rows
-            compare columns.
+            A stable argsort orders by ``(key, column)``, ineligible items
+            (key ``>= 0``) last. The fill is fixed by its allocated prefix
+            alone when (1) the prefix's pairs are eligible and strictly
+            increasing along the stored order, and (2) no other pair sorts
+            at or before the prefix's last one — for a non-tight prefix,
+            every other item is ineligible. Given (1), (2) is a count:
+            exactly ``p`` pairs sort at or before the bound. Counting keys
+            ``<=`` the bound key settles it unless another item ties that
+            key; only those rows compare columns.
             """
-            kr = key[sub]
-            pp = p[sub]
-            rix = np.arange(sub.size)
-            o = order[sub, : max(int(pp.max()), 1)]
+            rix = np.arange(kr.shape[0])
             seq = kr[rix[:, None], o]
             a, b = seq[:, :-1], seq[:, 1:]
-            ok = np.all(
-                (b > a)
-                | ((a == b) & (o[:, 1:] > o[:, :-1]))
-                | (colc[1 : o.shape[1]] >= pp[:, None]),
-                axis=1,
-            )
+            rising = (b > a) | (colc[1 : o.shape[1]] >= pp[:, None])
+            ok = rising.all(axis=1)
+            # Equal keys are in order when their columns are.
+            eq = np.flatnonzero(~ok)
+            if eq.size:
+                oe = o[eq]
+                ok[eq] = np.all(
+                    rising[eq] | ((a[eq] == b[eq]) & (oe[:, 1:] > oe[:, :-1])), axis=1
+                )
             last = np.maximum(pp - 1, 0)
             k_last = seq[rix, last]
-            ok &= (pp == 0) | (k_last < _INF)
-            ts = tight[sub]
-            # The largest finite key bounds a non-tight prefix: "<= bound"
-            # then means finite, i.e. eligible.
-            k_bound = np.where(ts, k_last, _FMAX)
+            ok &= (pp == 0) | (k_last < 0)
+            # The largest negative key bounds a non-tight prefix: "<= bound"
+            # then means negative, i.e. eligible.
+            k_bound = np.where(ts, k_last, -_TINY)
             n_le = (kr <= k_bound[:, None]).sum(axis=1)
             tie = np.flatnonzero(ok & (n_le > pp))
             ok &= n_le == pp
             if tie.size:
-                kb = np.where(ts[tie], k_bound[tie], _INF)[:, None]
+                kb = np.where(ts[tie], k_bound[tie], 0.0)[:, None]
                 ob = np.where(ts[tie], o[tie, last[tie]], -1)[:, None]
                 kt = kr[tie]
                 before = (kt < kb) | ((kt == kb) & (colc <= ob))
                 ok[tie] = before.sum(axis=1) == pp[tie]
-            return sub[ok]
+            return ok
 
-        def fresh_fill_u(
-            sub: IntArray, r: FloatArray
-        ) -> tuple[FloatArray, FloatArray]:
-            """Compressed fresh fill at residual ``r``; returns (alloc, u)."""
-            kappa = two_s * r[:, None] * om_c[sub] - sl_c[sub]
-            eligible = (kappa > 0) & (cp_c[sub] > 0)
-            key = np.where(eligible, -kappa, _INF)
-            order = np.argsort(key, axis=1, kind="stable")
+        def stored(
+            order: IntArray, p: IntArray, tight: np.ndarray, srow: IntArray
+        ) -> tuple[IntArray, IntArray, np.ndarray]:
+            """Stored states of rows ``srow``, prefix-width order included."""
+            pp = p[srow]
+            return order[srow, : max(int(pp.max()), 1)], pp, tight[srow]
+
+        def state_fill(sub: IntArray, order: IntArray, p: IntArray) -> FloatArray:
+            """Replay the fill states of rows ``sub``; returns their
+            compressed allocation.
+
+            Only the prefix is replayed: every item past it receives an
+            exact ``+0.0``, which the zero-initialized output already holds.
+            """
+            w = int(p.max()) if sub.size else 0
             sidx = np.arange(sub.size)[:, None]
-            caps_sorted = np.where(eligible, cp_c[sub], 0.0)[sidx, order]
+            o = order[:, :w]
+            caps_sorted = np.where(colc[:w] < p[:, None], cp_b[sub[:, None], o], 0.0)
             cum = np.cumsum(caps_sorted, axis=1)
-            alloc_sorted = np.clip(
+            alloc = np.zeros((sub.size, Jc))
+            alloc[sidx, o] = np.clip(
                 bw_a[sub, None] - (cum - caps_sorted), 0.0, caps_sorted
             )
-            u = np.cumsum(alloc_sorted * om_c[sub][sidx, order], axis=1)[:, -1]
-            alloc = np.zeros((sub.size, Jc))
-            alloc[sidx, order] = alloc_sorted
-            return alloc, u
+            return alloc
 
-        om_b, cp_b = om_c, cp_c
-        sl_b = np.where(cp_c > 0, sl_c, _INF)
-        bw_b, W_b = bw_a, W_a
+        def final_ends(
+            lo: FloatArray, hi: FloatArray, theta: FloatArray, n: int
+        ) -> tuple[FloatArray, FloatArray]:
+            """The bracket ``n`` more levels leave when every midpoint below
+            ``theta`` goes right: the bisection's own arithmetic, replayed
+            in Python floats (IEEE doubles like the arrays' elements), which
+            is cheaper than ``n`` rounds of array calls for the few rows a
+            level usually hands over."""
+            ends = []
+            for a, b, t in zip(lo.tolist(), hi.tolist(), theta.tolist()):
+                for _ in range(n):
+                    mid = 0.5 * (a + b)
+                    if mid < t:
+                        a = mid
+                    else:
+                        b = mid
+                ends.append((a, b))
+            out = np.array(ends).reshape(-1, 2)
+            return out[:, 0], out[:, 1]
 
-        def scatter(sub_rows: IntArray, alloc_c: FloatArray, u: FloatArray) -> None:
-            alloc_out[sub_rows[:, None], kc[None, :]] = alloc_c
-            u_out[sub_rows] = u
+        def evaluate(
+            sub: IntArray, r: FloatArray, at_mid: bool, remaining: int
+        ) -> tuple[np.ndarray, FloatArray]:
+            """Decide ``G(r) > 0`` for rows ``sub``, reusing a stored state
+            when one provably fills like ``r`` and filling fresh otherwise;
+            returns the decisions and the fixed points ``q = fl(W - u(r))``.
 
-        for _ in range(BISECTION_ITERS):
-            if act_l.size == 0:
-                break
-            A = act_l.size
-            mid = 0.5 * (r_lo + r_hi)
-            # key = -kappa on eligible items: rounding is sign-symmetric, so
-            # slope - 2 s r omega is bitwise the negated benefit margin, and
-            # the +inf slopes of cap-0 items keep them ineligible.
-            key = sl_b - two_s * mid[:, None] * om_b
-            key = np.where(key < 0, key, _INF)
-            u_m = np.empty(A)
-            used = np.full(A, 2, dtype=np.int8)  # 0 = lo state, 1 = hi, 2 = fresh
-            if early_exit:
-                lo_rows = np.flatnonzero(hl)
-                if lo_rows.size:
-                    matched = state_match(key, lo_rows, ol, pl, tl)
-                    u_m[matched] = ul[matched]
-                    used[matched] = 0
-                rem = np.flatnonzero((used == 2) & hh)
-                if rem.size:
-                    matched = state_match(key, rem, oh, ph, th)
-                    u_m[matched] = uh[matched]
-                    used[matched] = 1
+            The state used is stored on the side the decision points to;
+            ``at_mid`` says ``r`` becomes that side's residual, so the state
+            is known valid there. Outside the weight guard the decision
+            also tightens the threshold bounds, and a fresh state answers
+            its row outright when it is valid at both ends of the bracket
+            that ``remaining`` more levels leave with its own fixed point as
+            the threshold.
+            """
+            nonlocal fills
+            key = keys_at(sub, r)
+            u_r = np.empty(sub.size)
+            used = np.full(sub.size, 2, dtype=np.int8)  # 0 = lo, 1 = hi, 2 = fresh
+            # A probe point is chosen away from the stored states, which
+            # almost never fit there.
+            if early_exit and at_mid:
+                for code, (order, p, tight, u_s, have) in enumerate(sides):
+                    s = np.flatnonzero((used == 2) & have[sub])
+                    if s.size:
+                        s = s[state_match(key[s], *stored(order, p, tight, sub[s]))]
+                        u_r[s] = u_s[sub[s]]
+                        used[s] = code
             fresh = np.flatnonzero(used == 2)
             if fresh.size:
                 fills += fresh.size
-                keyf = key[fresh]
-                order_f = np.argsort(keyf, axis=1, kind="stable")
-                fidx = np.arange(fresh.size)[:, None]
-                # Eligible items have finite keys and sort first.
-                m_f = (keyf < _INF).sum(axis=1)
-                cp_f = cp_b[fresh][fidx, order_f]
-                caps_sorted = np.where(colc < m_f[:, None], cp_f, 0.0)
-                cum_f = np.cumsum(caps_sorted, axis=1)
-                bw_f = bw_b[fresh, None]
-                alloc_sorted_f = np.clip(
-                    bw_f - (cum_f - caps_sorted), 0.0, caps_sorted
-                )
-                u_m[fresh] = np.cumsum(
-                    alloc_sorted_f * om_b[fresh][fidx, order_f], axis=1
-                )[:, -1]
-                # Allocated prefix: the eligible items up to the one whose
-                # running cap sum reaches bw. It is tight only if every
-                # item past it gets an exact zero in *any* order: each later
-                # running sum is >= cum_p and fl(fl(A + c) - c) is monotone
-                # in A, so ``bw - fl(fl(cum_p + c) - c) <= 0`` for every cap
-                # c past the prefix suffices. Otherwise keep the old state:
-                # the whole eligible set, with every other item ineligible.
-                p_f = (cum_f < bw_f).sum(axis=1) + 1
-                t_f = p_f <= m_f
-                if t_f.any():
-                    cum_p = np.take_along_axis(
-                        cum_f, np.minimum(p_f, Jc)[:, None] - 1, axis=1
+                order_f, p_f, t_f, u_r[fresh] = fill(key[fresh], sub[fresh])
+            q = W_a[sub] - u_r
+            go = q > r  # G(r) > 0 -> the root is to the right
+            if not early_exit:
+                return go, q
+            # The side the decision points to inherits the state used at r.
+            for code, sel in ((1, go), (0, ~go)):
+                idx = sub[(used == code) & sel]
+                if idx.size:
+                    for s_arr, d_arr in zip(sides[code], sides[1 - code]):
+                        d_arr[idx] = s_arr[idx]
+            for sel, side in ((go[fresh], sides[0]), (~go[fresh], sides[1])):
+                tgt = sub[fresh[sel]]
+                if tgt.size:
+                    order, p, tight, u_s, have = side
+                    order[tgt] = order_f[sel]
+                    p[tgt] = p_f[sel]
+                    tight[tgt] = t_f[sel]
+                    u_s[tgt] = u_r[fresh[sel]]
+                    have[tgt] = True
+            if at_mid:
+                vl[sub[go]] = True
+                vh[sub[~go]] = True
+            else:
+                vl[sub[go]] = False
+                vh[sub[~go]] = False
+            # u never falls as r grows, so the state's own fixed point
+            # q = fl(W - u) bounds the root from the far side: every
+            # residual at or above a right-going point's q fills at least
+            # as much and goes left; every residual below a left-going
+            # point's q goes right.
+            b = bounded[sub]
+            idx = sub[b & go]
+            t_lo[idx] = np.maximum(t_lo[idx], np.nextafter(r[b & go], _INF))
+            t_hi[idx] = np.minimum(t_hi[idx], q[b & go])
+            idx = sub[b & ~go]
+            t_hi[idx] = np.minimum(t_hi[idx], r[b & ~go])
+            t_lo[idx] = np.maximum(t_lo[idx], q[b & ~go])
+            # A fresh state S answers its row when it is valid at both ends
+            # of the bracket the remaining levels leave under theta = q:
+            # every level's midpoint lies at or below the final low end,
+            # where S goes right, or at or above the final high end, where
+            # S goes left, so monotonicity fixes every level as the replay
+            # did, and both closing fills are S.
+            fb = b[fresh]
+            c = fresh[fb]
+            if c.size:
+                cs = sub[c]
+                lo_e = np.where(go[c], r[c], r_lo[cs]) if at_mid else r_lo[cs]
+                hi_e = np.where(go[c], r_hi[cs], r[c]) if at_mid else r_hi[cs]
+                # When q lies past an end of the bracket, that end is final,
+                # and a different state known valid there rules S out.
+                pf, uf = p_f[fb], u_r[c]
+                ruled_out = (
+                    (q[c] >= hi_e) & vh[cs] & ((ph[cs] != pf) | (uh[cs] != uf))
+                ) | ((q[c] <= lo_e) & vl[cs] & ((pl[cs] != pf) | (ul[cs] != uf)))
+                fb[fb] = ~ruled_out
+                c, lo_e, hi_e = c[~ruled_out], lo_e[~ruled_out], hi_e[~ruled_out]
+            if c.size:
+                lo_e, hi_e = final_ends(lo_e, hi_e, q[c], remaining)
+                o_c = order_f[fb][:, : max(int(p_f[fb].max()), 1)]
+                p_c, t_c = p_f[fb], t_f[fb]
+                fin = state_match(keys_at(sub[c], lo_e), o_c, p_c, t_c).nonzero()[0]
+                if fin.size:
+                    fin = fin[
+                        state_match(
+                            keys_at(sub[c[fin]], hi_e[fin]), o_c[fin], p_c[fin], t_c[fin]
+                        )
+                    ]
+                if fin.size:
+                    cf = sub[c[fin]]
+                    t_lo[cf] = t_hi[cf] = q[c[fin]]
+                    done[cf] = True
+                    alloc_out[rows[cf, None], kc[None, :]] = state_fill(
+                        cf, o_c[fin], p_c[fin]
                     )
-                    t_f &= np.all(
-                        ((cum_p + cp_f) - cp_f >= bw_f) | (colc < p_f[:, None]),
-                        axis=1,
-                    )
-                p_f = np.where(t_f, p_f, m_f)
+                    # As the close interpolates between equal fills.
+                    u_out[rows[cf]] = u_r[c[fin]] + 0.0
+            return go, q
 
-            implied = W_b - u_m
-            too_small = implied > mid  # G(r) > 0 -> root is to the right
+        for level in range(BISECTION_ITERS):
+            mid = 0.5 * (r_lo + r_hi)
+            too_small = mid < t_lo  # known to go right
+            left = mid >= t_hi  # known to go left
+            und = np.flatnonzero(~too_small & ~left)
+            # A side that moves without an evaluation loses its validity.
+            vl &= ~too_small
+            vh &= ~left
+            if und.size:
+                too_small[und], q = evaluate(
+                    und, mid[und], True, BISECTION_ITERS - level - 1
+                )
             r_lo = np.where(too_small, mid, r_lo)
             r_hi = np.where(too_small, r_hi, mid)
-            if not early_exit:
-                continue
+            if level == 0 and early_exit:
+                # Regula-falsi probes between the nearest right-going (a)
+                # and left-going (b) points evaluated so far, or a
+                # fixed-point step from the one side known, kept inside the
+                # known bracket.
+                a_r, a_q = np.full(A, -_INF), np.full(A, -_INF)
+                b_r, b_q = np.full(A, _INF), np.full(A, _INF)
+                if und.size:
+                    go = too_small[und]
+                    a_r[und[go]], a_q[und[go]] = mid[und[go]], q[go]
+                    b_r[und[~go]], b_q[und[~go]] = mid[und[~go]], q[~go]
+                for _ in range(PROBES):
+                    sub = np.flatnonzero(bounded & ~done)
+                    if sub.size == 0:
+                        break
+                    ar, aq, br, bq = a_r[sub], a_q[sub], b_r[sub], b_q[sub]
+                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                        ga, gb = aq - ar, bq - br
+                        r = np.where(
+                            np.isfinite(ar) & np.isfinite(br),
+                            ar + ga * (br - ar) / (ga - gb),
+                            np.where(np.isfinite(ar), aq, bq),
+                        )
+                    s_lo = np.maximum(t_lo[sub], r_lo[sub])
+                    s_hi = np.minimum(t_hi[sub], r_hi[sub])
+                    r = np.where((r >= s_lo) & (r <= s_hi), r, 0.5 * (s_lo + s_hi))
+                    ok = np.isfinite(r)
+                    sub, r, ar, br = sub[ok], r[ok], ar[ok], br[ok]
+                    if sub.size == 0:
+                        break
+                    go, q = evaluate(sub, r, False, BISECTION_ITERS - 1)
+                    to_a, to_b = go & (r > ar), ~go & (r < br)
+                    a_r[sub[to_a]], a_q[sub[to_a]] = r[to_a], q[to_a]
+                    b_r[sub[to_b]], b_q[sub[to_b]] = r[to_b], q[to_b]
 
-            # The updated side inherits the state used at the midpoint.
-            cross_hi = (used == 1) & too_small
-            if cross_hi.any():
-                idx = np.flatnonzero(cross_hi)
-                ol[idx] = oh[idx]
-                ul[idx] = uh[idx]
-                pl[idx] = ph[idx]
-                tl[idx] = th[idx]
-                hl[idx] = True
-            cross_lo = (used == 0) & ~too_small
-            if cross_lo.any():
-                idx = np.flatnonzero(cross_lo)
-                oh[idx] = ol[idx]
-                uh[idx] = ul[idx]
-                ph[idx] = pl[idx]
-                th[idx] = tl[idx]
-                hh[idx] = True
-            if fresh.size:
-                sel = too_small[fresh]
-                tgt = fresh[sel]
-                if tgt.size:
-                    ol[tgt] = order_f[sel]
-                    ul[tgt] = u_m[tgt]
-                    pl[tgt] = p_f[sel]
-                    tl[tgt] = t_f[sel]
-                    hl[tgt] = True
-                tgt = fresh[~sel]
-                if tgt.size:
-                    oh[tgt] = order_f[~sel]
-                    uh[tgt] = u_m[tgt]
-                    ph[tgt] = p_f[~sel]
-                    th[tgt] = t_f[~sel]
-                    hh[tgt] = True
-
-            # Cross-side match -> the state is valid at both ends of the
-            # new bracket, hence constant on it: the final gap is exactly
-            # zero and the closing interpolation returns this state's
-            # fill. Settle now.
-            settle = cross_hi | cross_lo
-            if settle.any():
-                s = np.flatnonzero(settle)
-                scatter(
-                    rows[act_l[s]],
-                    state_fill(ol[s], pl[s], cp_b[s], bw_b[s]),
-                    ul[s],
-                )
-                kp = ~settle
-                act_l = act_l[kp]
-                om_b, cp_b, sl_b = om_b[kp], cp_b[kp], sl_b[kp]
-                bw_b, W_b = bw_b[kp], W_b[kp]
-                r_lo, r_hi = r_lo[kp], r_hi[kp]
-                ol, oh, ul, uh = ol[kp], oh[kp], ul[kp], uh[kp]
-                pl, ph, tl, th = pl[kp], ph[kp], tl[kp], th[kp]
-                hl, hh = hl[kp], hh[kp]
-
-        if act_l.size:
-            A = act_l.size
-            fills += int(np.count_nonzero(~hl) + np.count_nonzero(~hh))
-
-            def endpoint(
-                have: FloatArray,
-                order: IntArray,
-                u_s: FloatArray,
-                p_s: IntArray,
-                r_end: FloatArray,
-            ) -> tuple[FloatArray, FloatArray]:
-                alloc = np.empty((A, Jc))
-                u = np.empty(A)
-                hv = np.flatnonzero(have)
-                if hv.size:
-                    alloc[hv] = state_fill(order[hv], p_s[hv], cp_b[hv], bw_b[hv])
-                    u[hv] = u_s[hv]
-                nh = np.flatnonzero(~have)
-                if nh.size:
-                    al, uu = fresh_fill_u(act_l[nh], r_end[nh])
-                    alloc[nh] = al
-                    u[nh] = uu
-                return alloc, u
-
-            alloc_lo, u_lo = endpoint(hl, ol, ul, pl, r_lo)
-            alloc_hi, u_hi = endpoint(hh, oh, uh, ph, r_hi)
-            u_target = W_b - 0.5 * (r_lo + r_hi)
+        # Close the other rows on the final bracket as the fixed-depth
+        # bisection does: interpolate between the fills at both ends. A
+        # stored state that is valid at an end stands in for that end's fill.
+        rest = np.flatnonzero(~done)
+        if rest.size:
+            ends = []
+            for r_end, own, other, valid in (
+                (r_lo, sides[0], sides[1], vl),
+                (r_hi, sides[1], sides[0], vh),
+            ):
+                order_e, p_e, u_e = own[0][rest], own[1][rest], own[3][rest]
+                need = np.flatnonzero(~valid[rest])
+                if need.size:
+                    nr = rest[need]
+                    key = keys_at(nr, r_end[nr])
+                    found = np.zeros(need.size, dtype=bool)
+                    for order, p, tight, u_s, have in (own, other):
+                        s = np.flatnonzero(~found & have[nr])
+                        if s.size:
+                            s = s[state_match(key[s], *stored(order, p, tight, nr[s]))]
+                            order_e[need[s]] = order[nr[s]]
+                            p_e[need[s]] = p[nr[s]]
+                            u_e[need[s]] = u_s[nr[s]]
+                            found[s] = True
+                    miss = np.flatnonzero(~found)
+                    if miss.size:
+                        fills += miss.size
+                        order_e[need[miss]], p_e[need[miss]], _, u_e[need[miss]] = fill(
+                            key[miss], nr[miss]
+                        )
+                ends.append((state_fill(rest, order_e, p_e), u_e))
+            (alloc_lo, u_lo), (alloc_hi, u_hi) = ends
+            u_target = W_a[rest] - 0.5 * (r_lo[rest] + r_hi[rest])
             gap = u_hi - u_lo
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = np.where(
                     gap > 1e-15, np.clip((u_target - u_lo) / gap, 0.0, 1.0), 0.0
                 )
-            scatter(
-                rows[act_l],
-                alloc_lo + t[:, None] * (alloc_hi - alloc_lo),
-                u_lo + t * gap,
+            alloc_out[rows[rest, None], kc[None, :]] = alloc_lo + t[:, None] * (
+                alloc_hi - alloc_lo
             )
-        return fills
+            u_out[rows[rest]] = u_lo + t * gap
+        return fills, int(np.count_nonzero(done))
 
-    def process(rows: IntArray) -> tuple[int, int, int, int]:
+    def process(rows: IntArray) -> tuple[int, int, int, int, int]:
         """Solve one chunk of active rows.
 
-        Returns ``(bound, closed, fallback, fills)`` counts for the chunk.
+        Returns ``(bound, closed, fallback, fills, replayed)`` counts for
+        the chunk.
         """
         om_a = omega[rows]
         cp_a = caps[rows]
@@ -663,7 +819,7 @@ def waterfill_batch(
         brows = rows[keep]
         nb = brows.size
         if nb == 0:
-            return 0, 0, 0, 0
+            return 0, 0, 0, 0, 0
         # Release the slack-scan temporaries before the bound stage: the
         # chunk's peak live set — not any O(R x J) allocation — is what
         # the kernel's memory budget consists of now.
@@ -675,7 +831,7 @@ def waterfill_batch(
             om_b, cp_b = om_a[keep], cp_a[keep]
             bw_b, W_b = bw_a[keep], W_a[keep]
         sl_b = slope_of(brows)
-        n_cf = n_fills = 0
+        n_cf = 0
         if use_closed:
             alloc_b, u_b, solved = _solve_bw_bound(
                 om_b, cp_b, sl_b, W_b, bw_b, two_s
@@ -685,31 +841,42 @@ def waterfill_batch(
                 alloc_out[brows[srows]] = alloc_b[srows]
                 u_out[brows[srows]] = u_b[srows]
             n_cf = int(srows.size)
-            if n_cf < nb:
-                un = ~solved
-                n_fills = bisect_rows_legacy(
-                    brows[un], om_b[un], cp_b[un], sl_b[un], W_b[un], bw_b[un]
-                )
-        else:
-            n_fills = bisect_rows_legacy(brows, om_b, cp_b, sl_b, W_b, bw_b)
-        return nb, n_cf, nb - n_cf, n_fills
+            un = ~solved
+            brows, om_b, cp_b = brows[un], om_b[un], cp_b[un]
+            sl_b, W_b, bw_b = sl_b[un], W_b[un], bw_b[un]
+        n_fills, n_replayed = (
+            bisect_rows(brows, om_b, cp_b, sl_b, W_b, bw_b) if brows.size else (0, 0)
+        )
+        return nb, n_cf, nb - n_cf, n_fills, n_replayed
 
-    n_bound = n_closed = n_fallback = n_fills = 0
+    totals = np.zeros(5, dtype=np.int64)
     for start in range(0, act.size, chunk):
-        nb, nc, nf, nfill = process(act[start : start + chunk])
-        n_bound += nb
-        n_closed += nc
-        n_fallback += nf
-        n_fills += nfill
-    if n_bound:
-        inc("p2_bw_bound_rows", float(n_bound))
-    if n_closed:
-        inc("p2_bw_closed_form", float(n_closed))
-    if n_fallback:
-        inc("p2_bisection_fallbacks", float(n_fallback))
-    if n_fills:
-        inc("p2_bisection_fills", float(n_fills))
+        totals += process(act[start : start + chunk])
+    for name, n in zip(
+        (
+            "p2_bw_bound_rows",
+            "p2_bw_closed_form",
+            "p2_bisection_fallbacks",
+            "p2_bisection_fills",
+            "p2_bisection_replayed",
+        ),
+        totals,
+    ):
+        if n:
+            inc(name, float(n))
     return alloc_out, u_out
+
+
+def _near_tied_weights(om: FloatArray, cp: FloatArray) -> np.ndarray:
+    """Rows holding two distinct cap-positive weights within
+    :data:`WEIGHT_GUARD` of each other, relative (module docstring, "Float
+    caveats"): their keys can swap order back and forth as the residual
+    moves, so the bisection evaluates every level of such a row."""
+    w = np.sort(np.where(cp > 0, om, np.nan), axis=1)  # NaN sorts last
+    lo, hi = w[:, :-1], w[:, 1:]
+    with np.errstate(invalid="ignore"):
+        near = (hi > lo) & (hi - lo <= WEIGHT_GUARD * np.abs(hi))
+    return near.any(axis=1)
 
 
 def _solve_bw_bound(

@@ -37,6 +37,8 @@ _SOLVE_COUNTERS = (
     "p2_bw_bound_rows",
     "p2_bw_closed_form",
     "p2_bisection_fallbacks",
+    "p2_bisection_fills",
+    "p2_bisection_replayed",
 )
 
 
@@ -131,15 +133,18 @@ def run_bench_matrix(
                 print(f"  {key:<24} {elapsed:8.2f}s")
     record["costs_identical"] = costs_identical
     counters = record["solve_counters"]
-    # The bound-row accounting identity must hold on the baseline cell.
+    # The bound-row accounting identity must hold on the baseline cell, and
+    # the threshold replay answers only rows the bisection took.
     if (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         != counters["p2_bw_bound_rows"]
+        or counters["p2_bisection_replayed"] > counters["p2_bisection_fallbacks"]
     ):
         raise AssertionError(
             "P2 bound-row accounting broken: "
             f"{counters['p2_bw_closed_form']} closed + "
-            f"{counters['p2_bisection_fallbacks']} fallbacks != "
+            f"{counters['p2_bisection_fallbacks']} fallbacks "
+            f"({counters['p2_bisection_replayed']} replayed) vs "
             f"{counters['p2_bw_bound_rows']} bound"
         )
     return record

@@ -37,7 +37,7 @@ from repro.core.rounding import optimal_rounding_threshold, round_caching
 from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
-from repro.optim.waterfill import waterfill_batch
+from repro.optim.waterfill import _solve_bw_bound, waterfill_batch
 from repro.perf.solvecache import SolveCache
 
 BATCHED = RuntimeConfig(batched=True)
@@ -147,13 +147,39 @@ def _random_stack(rng, R, J):
     return lam, caps, omega, mu, W, bandwidths
 
 
-def _class_rows(rng, R, G, K, bw_mode):
+def _class_weights(rng, R, G, weights):
+    """Per-class omega rows, shape ``(R, G)``.
+
+    ``grid`` draws from a coarse dyadic grid (classes tie exactly);
+    ``ulp`` steps each class one ``np.nextafter`` above the previous one
+    from a U[0.5, 1.5] base; ``near`` steps by a relative gap drawn
+    log-uniformly between one ulp and 1e-12. The last two are the weights
+    whose products ``fl(c * omega)`` tie for some multipliers ``c`` and
+    not for others, so equal-slope items swap order as the residual moves.
+    """
+    if weights == "grid":
+        return rng.choice([0.5, 1.0, 1.5, 2.0], (R, G))
+    omega = np.empty((R, G))
+    omega[:, 0] = rng.uniform(0.5, 1.5, R)
+    for g in range(1, G):
+        prev = omega[:, g - 1]
+        step = np.nextafter(prev, np.inf)
+        if weights == "near":
+            gap = 2.0 ** rng.uniform(-52.0, np.log2(1e-12), R)
+            step = np.maximum(step, prev * (1.0 + gap))
+        omega[:, g] = step
+    return omega
+
+
+def _class_rows(rng, R, G, K, bw_mode, weights="grid"):
     """P2-shaped rows: G MU classes of K items, omega constant per class
-    block. Coarse dyadic grids for omega, lam, mu and caps make slopes tie
-    within a class, keys tie across classes at the bisection's dyadic
-    midpoints, and running cap sums hit the bandwidth exactly."""
+    block. Coarse dyadic grids for lam, mu and caps (and omega, unless
+    ``weights`` asks for near-equal class weights, see
+    :func:`_class_weights`) make slopes tie within a class, keys tie across
+    classes at the bisection's dyadic midpoints, and running cap sums hit
+    the bandwidth exactly."""
     J = G * K
-    omega = np.repeat(rng.choice([0.5, 1.0, 1.5, 2.0], (R, G)), K, axis=1)
+    omega = np.repeat(_class_weights(rng, R, G, weights), K, axis=1)
     lam = rng.choice([0.0, 1.0, 2.0], (R, J), p=[0.2, 0.4, 0.4])
     mu = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], (R, J))
     caps = lam * rng.choice([0.0, 0.5, 1.0], (R, J), p=[0.2, 0.3, 0.5])
@@ -193,20 +219,24 @@ class TestWaterfillKernel:
         assert np.array_equal(full[0], fast[0])
         assert np.array_equal(full[1], fast[1])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 6),
-        st.integers(1, 4),
+        st.integers(1, 30),
         st.integers(1, 30),
         st.sampled_from(["zero", "fits", "exact", "random"]),
+        st.sampled_from(["grid", "ulp", "near"]),
     )
-    def test_prefix_state_reuse_bitwise_on_class_rows(self, seed, R, G, K, bw_mode):
-        """Allocated-prefix state reuse and cross-side settling return the
+    def test_prefix_state_reuse_bitwise_on_class_rows(
+        self, seed, R, G, K, bw_mode, weights
+    ):
+        """Allocated-prefix state reuse and the threshold replay return the
         fixed-depth bisection's bits (sign of zero included) on
-        class-structured rows full of slope, key and bandwidth ties."""
+        class-structured rows full of slope, key and bandwidth ties, and
+        on rows whose class weights sit one ulp to 1e-12 apart."""
         rng = np.random.default_rng(seed)
-        lam, caps, omega, mu, W, bw = _class_rows(rng, R, G, K, bw_mode)
+        lam, caps, omega, mu, W, bw = _class_rows(rng, R, G, K, bw_mode, weights)
         args = (lam, caps, omega, mu, W, bw, 1.0)
         full = waterfill_batch(*args, early_exit=False, closed_form=False)
         fast = waterfill_batch(*args, early_exit=True, closed_form=False)
@@ -216,27 +246,38 @@ class TestWaterfillKernel:
     def test_fills_per_bound_row_pinned(self):
         """Fresh greedy fills per bisected row on a fixed G = 3 stack. The
         fixed-depth bisection runs 26 midpoint fills plus 2 endpoint fills
-        per row; allocated-prefix reuse needs a fraction of that."""
+        per row; the threshold replay answers most rows from the state it
+        locates and needs a fraction of that."""
         rng = np.random.default_rng(0)
         lam, caps, omega, mu, W, bw = _bound_stack(rng, 200, 30, G=3)
 
         def fills(early_exit):
             rec = Recorder()
             with record_into(rec):
-                waterfill_batch(
+                out = waterfill_batch(
                     lam, caps, omega, mu, W, bw, 1.0, early_exit=early_exit
                 )
-            return (
-                rec.metrics.counter("p2_bisection_fills"),
-                rec.metrics.counter("p2_bisection_fallbacks"),
+            return out, tuple(
+                rec.metrics.counter(name)
+                for name in (
+                    "p2_bisection_fills",
+                    "p2_bisection_fallbacks",
+                    "p2_bisection_replayed",
+                )
             )
 
-        fixed, rows = fills(False)
-        assert rows > 0 and fixed == 28 * rows
-        reused, rows_again = fills(True)
+        full, (fixed, rows, replayed) = fills(False)
+        assert rows > 0 and fixed == 28 * rows and replayed == 0
+        fast, (reused, rows_again, replayed) = fills(True)
         assert rows_again == rows
-        # 242 fills for 200 rows; whole-order state reuse needed 412.
-        assert reused == 242
+        assert full[0].tobytes() == fast[0].tobytes()
+        assert full[1].tobytes() == fast[1].tobytes()
+        # 225 fills for 200 rows; the level-by-level prefix reuse needed
+        # 242 and whole-order state reuse 412.
+        assert reused == 225
+        # 199 of the 200 rows are replayed; a slide back into evaluating
+        # every level fails here.
+        assert replayed == 199
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))
@@ -494,10 +535,9 @@ class TestBwBoundClosedForm:
         st.floats(0.05, 0.95),
     )
     def test_feasible_tight_and_never_worse(self, seed, R, J, G, bw_frac):
-        """On an all-bound stack the closed form stays feasible, exhausts
-        the budget (complementary slackness: the bound multiplier is
-        positive, so the constraint is tight), and is never worse than a
-        deep bisection beyond the 1e-9 relative envelope."""
+        """On an all-bound stack every row stays feasible and is never worse
+        than a deep bisection beyond the 1e-9 relative envelope, and every
+        row the closed form certifies exhausts the budget."""
         rng = np.random.default_rng(seed)
         lam, caps, omega, mu, W, bw = _bound_stack(rng, R, J, G, bw_frac)
         if lam.shape[0] == 0:
@@ -519,14 +559,16 @@ class TestBwBoundClosedForm:
         assert (alloc <= caps * (1 + 1e-12) + 1e-12).all()
         sums = alloc.sum(axis=1)
         assert (sums <= bw * (1 + 1e-9) + 1e-12).all()
-        # Complementary slackness: the unconstrained fill strictly exceeds
-        # bw, so the budget multiplier is positive and the optimum sits on
-        # the hyperplane. Closed-form rows are exact; when a fallback row
-        # is present its bisection is tight only to its bracket width.
-        if counters["p2_bisection_fallbacks"] == 0:
-            assert (sums >= bw * (1 - 1e-9) - 1e-12).all()
-        else:
-            assert (sums >= bw * (1 - 1e-6) - 1e-9).all()
+        # Each certified closed-form candidate spends the whole budget. A
+        # fallback row need not: the unconstrained optimum is not unique
+        # when items of different weights are indifferent at the optimal
+        # residual, and one that fits the budget can exist although the
+        # slack scan's greedy choice does not fit it
+        # (test_unused_bandwidth_row_is_optimal).
+        slope = np.where(lam > 0, mu / lam, np.inf)
+        solved = _solve_bw_bound(omega, caps, slope, W, bw, 2.0)[2]
+        assert solved.sum() == counters["p2_bw_closed_form"]
+        assert (sums[solved] >= bw[solved] * (1 - 1e-9) - 1e-12).all()
         for r in range(rows):
             sl = slice(r, r + 1)
             deep, _ = _waterfill_reference(
@@ -535,6 +577,38 @@ class TestBwBoundClosedForm:
             got = _row_objective(alloc[r], lam[r], omega[r], mu[r], W[r], 1.0)
             ref = _row_objective(deep[0], lam[r], omega[r], mu[r], W[r], 1.0)
             assert got <= ref + 1e-9 * max(1.0, abs(ref))
+
+    def test_unused_bandwidth_row_is_optimal(self):
+        """A bound row whose optimum leaves bandwidth unused. Row 2 of this
+        stack falls back to the bisection and routes 2.0858 of its 2.1421
+        budget. It is optimal: its zero-slope items of the heavier weight
+        alone can offload all of W within the budget, so the optimal
+        objective is 0 and the KKT multiplier of the budget is 0. The slack
+        scan ranks every zero-slope item at threshold 0 in column order,
+        lighter ones first, and overshoots the budget, which is why the row
+        counts as bound at all."""
+        lam, caps, omega, mu, W, bw = _bound_stack(
+            np.random.default_rng(9), 15, 15, G=2, bw_frac=0.75
+        )
+        (out, counters) = _counters(
+            lambda: waterfill_batch(lam, caps, omega, mu, W, bw, 1.0)
+        )
+        assert counters["p2_bisection_fallbacks"] == 2
+        r = 2
+        alloc = out[0][r]
+        free = (caps[r] > 0) & (mu[r] == 0)
+        heavy = free & (omega[r] == omega[r][free].max())
+        w_heavy = omega[r][heavy].max()
+        assert caps[r][heavy].sum() * w_heavy >= W[r]
+        assert W[r] / w_heavy < bw[r] * (1 - 1e-3)
+        assert alloc.sum() < bw[r] * (1 - 1e-3)
+        got = _row_objective(alloc, lam[r], omega[r], mu[r], W[r], 1.0)
+        deep, _ = _waterfill_reference(
+            lam[r : r + 1], caps[r : r + 1], omega[r], mu[r : r + 1],
+            W[r : r + 1], bw[r], 1.0, iters=60,
+        )
+        ref = _row_objective(deep[0], lam[r], omega[r], mu[r], W[r], 1.0)
+        assert 0.0 <= ref <= got <= 1e-12
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(3, 14))
