@@ -6,8 +6,8 @@ here without external solver dependencies:
 - projected-gradient machinery for the strictly convex load-balancing
   subproblem ``P2`` (:mod:`~repro.optim.projection`, :mod:`~repro.optim.fista`),
 - linear programming for the totally unimodular caching subproblem ``P1``
-  (:mod:`~repro.optim.simplex` — the paper's stated method — with a
-  scipy/HiGHS cross-check backend in :mod:`~repro.optim.linprog`, and an
+  (:mod:`~repro.optim.simplex` — the paper's stated method — behind the
+  general-form interface of :mod:`~repro.optim.linprog`, and an
   equivalent min-cost-flow solver in :mod:`~repro.optim.mincostflow`),
 - dual subgradient ascent for Algorithm 1's outer loop
   (:mod:`~repro.optim.subgradient`).

@@ -1,40 +1,21 @@
-"""Unified linear-programming interface over two interchangeable backends.
+"""General-form linear programming on the in-house simplex.
 
-- ``"simplex"`` — this library's bounded-variable primal simplex
-  (:mod:`repro.optim.simplex`), the method the paper names.
-- ``"scipy"`` — scipy's HiGHS solver, used as an independent cross-check
-  and as the default for large instances where a dense textbook simplex
-  would be slow.
-- ``"auto"`` — picks ``simplex`` for small problems and ``scipy`` above
-  :data:`AUTO_SIZE_LIMIT` variables.
-
-Both backends are exercised against each other in the test suite; all
-higher-level code goes through :func:`solve_lp` and can force a backend for
-ablations.
+:func:`solve_lp` accepts ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq,
+lo <= x <= hi``, adds one slack per inequality row and hands the
+equality-form problem to the bounded-variable primal simplex of
+:mod:`repro.optim.simplex`, the method the paper names. The test suite
+checks it against an independent HiGHS oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
-import scipy.optimize
 
-from repro.exceptions import (
-    ConfigurationError,
-    InfeasibleProblemError,
-    SolverError,
-    UnboundedProblemError,
-)
+from repro.exceptions import ConfigurationError, UnboundedProblemError
 from repro.optim.simplex import solve_simplex
 from repro.types import FloatArray
-
-Backend = Literal["auto", "simplex", "scipy"]
-
-#: ``auto`` switches from the in-house simplex to HiGHS above this many
-#: variables (including slacks).
-AUTO_SIZE_LIMIT = 600
 
 
 @dataclass(frozen=True)
@@ -47,13 +28,10 @@ class LPResult:
         Optimal primal point (original variables only; no slacks).
     objective:
         Optimal value.
-    backend:
-        The backend that produced the solution.
     """
 
     x: FloatArray
     objective: float
-    backend: str
 
 
 def solve_lp(
@@ -65,62 +43,12 @@ def solve_lp(
     b_eq: FloatArray | None = None,
     lo: FloatArray | float = 0.0,
     hi: FloatArray | float = np.inf,
-    backend: Backend = "auto",
 ) -> LPResult:
     """Solve ``min c.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, lo <= x <= hi``."""
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
-    lo_arr = np.broadcast_to(np.asarray(lo, dtype=np.float64), (n,)).copy()
-    hi_arr = np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,)).copy()
-
-    n_ub = 0 if A_ub is None else np.asarray(A_ub).shape[0]
-    if backend == "auto":
-        backend = "simplex" if n + n_ub <= AUTO_SIZE_LIMIT else "scipy"
-
-    if backend == "scipy":
-        return _solve_scipy(c, A_ub, b_ub, A_eq, b_eq, lo_arr, hi_arr)
-    if backend == "simplex":
-        return _solve_own(c, A_ub, b_ub, A_eq, b_eq, lo_arr, hi_arr)
-    raise ConfigurationError(f"unknown LP backend {backend!r}")
-
-
-def _solve_scipy(
-    c: FloatArray,
-    A_ub: FloatArray | None,
-    b_ub: FloatArray | None,
-    A_eq: FloatArray | None,
-    b_eq: FloatArray | None,
-    lo: FloatArray,
-    hi: FloatArray,
-) -> LPResult:
-    res = scipy.optimize.linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lo, hi]),
-        method="highs",
-    )
-    if res.status == 2:
-        raise InfeasibleProblemError(f"HiGHS reports infeasible: {res.message}")
-    if res.status == 3:
-        raise UnboundedProblemError(f"HiGHS reports unbounded: {res.message}")
-    if not res.success:
-        raise SolverError(f"HiGHS failed: {res.message}")
-    return LPResult(x=np.asarray(res.x), objective=float(res.fun), backend="scipy")
-
-
-def _solve_own(
-    c: FloatArray,
-    A_ub: FloatArray | None,
-    b_ub: FloatArray | None,
-    A_eq: FloatArray | None,
-    b_eq: FloatArray | None,
-    lo: FloatArray,
-    hi: FloatArray,
-) -> LPResult:
-    n = c.shape[0]
+    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (n,)).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,)).copy()
     rows_eq = 0 if A_eq is None else np.asarray(A_eq).shape[0]
     rows_ub = 0 if A_ub is None else np.asarray(A_ub).shape[0]
 
@@ -143,7 +71,7 @@ def _solve_own(
         x = np.where(c >= 0, lo, hi)
         if np.any(~np.isfinite(x)):
             raise UnboundedProblemError("box LP unbounded (negative cost, infinite bound)")
-        return LPResult(x=x, objective=float(c @ x), backend="simplex")
+        return LPResult(x=x, objective=float(c @ x))
 
     A_full = np.vstack(blocks)
     b_full = np.concatenate(rhs_parts)
@@ -152,4 +80,4 @@ def _solve_own(
     hi_full = np.concatenate([hi, np.full(rows_ub, np.inf)])
 
     result = solve_simplex(c_full, A_full, b_full, lo_full, hi_full)
-    return LPResult(x=result.x[:n], objective=result.objective, backend="simplex")
+    return LPResult(x=result.x[:n], objective=result.objective)

@@ -6,8 +6,8 @@ Solves linear programs in the computational form
 
 with possibly infinite upper bounds. This is the solver the paper names for
 the caching subproblem ``P1`` ("simplex method is applied in this paper",
-Section III-B); :mod:`repro.optim.linprog` wraps it behind a common
-interface next to scipy's HiGHS for cross-checking.
+Section III-B); :mod:`repro.optim.linprog` wraps it for problems with
+inequality rows.
 
 Implementation notes
 --------------------

@@ -3,8 +3,10 @@
 Answers "where does the time go" from the same artifacts CI already
 ships: the leg runs exactly as ``repro bench`` would run it (pytest on
 ``benchmarks/bench_<leg>.py`` at the requested ``REPRO_BENCH_SCALE``),
-wrapped in a :class:`cProfile.Profile`, and the result lands as a
-deterministic text table next to the leg's ``BENCH_*.json``.
+with a :class:`cProfile.Profile` enabled only while a test function of
+the leg runs, so collection, assertion rewriting and the plugin machinery
+stay out of the table. The result lands as a deterministic text table
+next to the leg's ``BENCH_*.json``.
 
 Deterministic here means the *shape* of the artifact: rows are sorted by
 self time (``tottime``; cumulative time is a column) with a stable
@@ -103,10 +105,12 @@ def profile_bench(
     default; ``out_dir`` overrides) and the path is returned.
 
     ``runner`` substitutes the profiled workload — tests inject a cheap
-    callable; the default runs the leg through pytest exactly like
-    ``repro bench --filter`` would.
+    callable, profiled whole; the default runs the leg through pytest
+    exactly like ``repro bench --filter`` would and profiles only its test
+    function calls.
     """
     leg = leg.removeprefix("bench_").removesuffix(".py")
+    profile = cProfile.Profile()
     if runner is None:
         leg_file = bench_dir / f"bench_{leg}.py"
         if not leg_file.is_file():
@@ -117,37 +121,15 @@ def profile_bench(
                 f"no benchmark leg {leg!r} under {bench_dir} "
                 f"(available: {', '.join(available)})"
             )
-
-        def runner() -> None:
-            import os
-
-            import pytest
-
-            os.environ["REPRO_BENCH_SCALE"] = scale
-            # ``--benchmark-disable`` turns the benchmark fixture into a
-            # passthrough. This matters twice over: pytest-benchmark's
-            # PauseInstrumentation would otherwise hide the measured region
-            # from the profiler entirely, and its pause/restore of an
-            # active ``cProfile.Profile`` via ``sys.setprofile`` crashes
-            # (the C profiler object is not a callable profilefunc).
-            code = pytest.main(
-                [
-                    str(leg_file),
-                    "-q",
-                    "-p",
-                    "no:cacheprovider",
-                    "--benchmark-disable",
-                ]
-            )
-            if code != 0:
-                raise RuntimeError(f"bench leg {leg!r} failed under profile ({code})")
-
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        runner()
-    finally:
-        profile.disable()
+        code = _run_leg(leg_file, scale, profile)
+        if code != 0:
+            raise RuntimeError(f"bench leg {leg!r} failed under profile ({code})")
+    else:
+        profile.enable()
+        try:
+            runner()
+        finally:
+            profile.disable()
     stats = pstats.Stats(profile)
 
     repo_root = bench_dir.parent
@@ -162,3 +144,50 @@ def profile_bench(
     out_path = target_dir / f"PROFILE_{leg}.txt"
     out_path.write_text(table, encoding="utf-8")
     return out_path
+
+
+def _run_leg(leg_file: Path, scale: str, profile: cProfile.Profile) -> int:
+    """Run one bench module under pytest, profiling only its test calls.
+
+    Returns pytest's exit code.
+    """
+    import os
+
+    import pytest
+
+    class ProfileTestCalls:
+        """Swap each test function for a profiled call of it.
+
+        Enabling the profiler around the ``yield`` instead would also
+        record pytest's own ``pytest_pyfunc_call`` and pluggy's result
+        handling; wrapping the function roots the table at the leg.
+        """
+
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_pyfunc_call(self, pyfuncitem):
+            test = pyfuncitem.obj
+
+            def profiled(*args, **kwargs):
+                profile.enable()
+                try:
+                    return test(*args, **kwargs)
+                finally:
+                    profile.disable()
+
+            pyfuncitem.obj = profiled
+            try:
+                yield
+            finally:
+                pyfuncitem.obj = test
+
+    os.environ["REPRO_BENCH_SCALE"] = scale
+    # ``--benchmark-disable`` turns the benchmark fixture into a
+    # passthrough. This matters twice over: pytest-benchmark's
+    # PauseInstrumentation would otherwise hide the measured region
+    # from the profiler entirely, and its pause/restore of an
+    # active ``cProfile.Profile`` via ``sys.setprofile`` crashes
+    # (the C profiler object is not a callable profilefunc).
+    return pytest.main(
+        [str(leg_file), "-q", "-p", "no:cacheprovider", "--benchmark-disable"],
+        plugins=[ProfileTestCalls()],
+    )

@@ -1,11 +1,13 @@
-"""Independent oracle for subproblem ``P1``: the sparse LP of Eqs. 20-22 via HiGHS.
+"""Independent HiGHS oracles: general LPs and subproblem ``P1`` (Eqs. 20-22).
 
-The library answers ``P1`` with a digest memo, a relaxed DP, a capped
-cancel kernel and a min-cost-flow fallback (``repro.core.caching_lp``). This
-module shares none of that code: it writes the LP of Eqs. 20-22 out as a
-sparse matrix and hands it to ``scipy.optimize.linprog(method="highs")``.
-Theorem 1 (total unimodularity) makes the LP optimum integral, so its
-objective is the exact ``P1`` optimum every solve path must reach.
+The library solves LPs with its own simplex (``repro.optim.linprog``) and
+answers ``P1`` with a digest memo, a relaxed DP, a capped cancel kernel and
+a min-cost-flow fallback (``repro.core.caching_lp``). This module shares
+none of that code: :func:`solve_lp_highs` hands an LP to
+``scipy.optimize.linprog(method="highs")``, and :func:`solve_p1_highs`
+writes the LP of Eqs. 20-22 out as a sparse matrix for it. Theorem 1
+(total unimodularity) makes that LP's optimum integral, so its objective
+is the exact ``P1`` optimum every solve path must reach.
 """
 
 from __future__ import annotations
@@ -15,6 +17,29 @@ import scipy.optimize
 import scipy.sparse
 
 from repro.core.caching_lp import CachingSolution, class_prices
+from repro.optim.linprog import LPResult
+
+
+def solve_lp_highs(
+    c: np.ndarray,
+    *,
+    A_ub=None,
+    b_ub=None,
+    A_eq=None,
+    b_eq=None,
+    lo: np.ndarray | float = 0.0,
+    hi: np.ndarray | float = np.inf,
+) -> LPResult:
+    """HiGHS twin of :func:`repro.optim.linprog.solve_lp` (same problem form)."""
+    c = np.asarray(c, dtype=np.float64)
+    bounds = np.column_stack(
+        [np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)]
+    )
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs"
+    )
+    assert res.success, f"HiGHS failed: {res.message}"
+    return LPResult(x=np.asarray(res.x), objective=float(res.fun))
 
 
 def solve_p1_highs(
@@ -45,18 +70,15 @@ def solve_p1_highs(
     b_ub = np.concatenate(
         [np.full(T, float(cap)), np.asarray(x0, dtype=np.float64), np.zeros(n_x - K)]
     )
-    bounds = [(0.0, 1.0)] * n_x + [(0.0, None)] * n_x
-    res = scipy.optimize.linprog(
-        cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs"
-    )
-    assert res.success, f"HiGHS failed on P1: {res.message}"
+    hi = np.concatenate([np.ones(n_x), np.full(n_x, np.inf)])
+    res = solve_lp_highs(cost, A_ub=A_ub, b_ub=b_ub, hi=hi)
 
     x = np.where(res.x[:n_x].reshape(T, K) > 0.5, 1.0, 0.0)
     objective = _p1_objective(c, beta, x, x0)
-    assert objective <= res.fun + 1e-6 * max(1.0, abs(res.fun)), (
+    assert objective <= res.objective + 1e-6 * max(1.0, abs(res.objective)), (
         "HiGHS vertex does not snap to an integral optimum"
     )
-    return x, float(res.fun)
+    return x, res.objective
 
 
 def solve_caching_highs(network, mu, x_initial, **_ignored) -> CachingSolution:

@@ -403,7 +403,8 @@ class TestBenchProfile:
 
     def test_profiles_a_leg_end_to_end(self, tmp_path, capsys, monkeypatch):
         """A stub leg profiled through the real pytest runner lands as the
-        deterministic table next to the leg's results."""
+        deterministic table next to the leg's results, rooted at the leg:
+        collection and the pytest/pluggy frames stay out of it."""
         monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
         (tmp_path / "bench_fake.py").write_text(
             "def test_spin():\n    assert sum(range(1000)) == 499500\n"
@@ -421,4 +422,7 @@ class TestBenchProfile:
         table = (out_dir / "PROFILE_fake.txt").read_text()
         assert table.startswith("profile: bench leg 'fake' at scale 'quick'")
         assert "ncalls" in table
+        rows = table.splitlines()[3:]
+        assert any(row.endswith("bench_fake.py:1(test_spin)") for row in rows)
+        assert [row for row in rows if "_pytest/" in row or "pluggy/" in row] == []
         assert "[saved to" in capsys.readouterr().out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1_oracle import solve_lp_highs
 from repro.exceptions import (
     ConfigurationError,
     InfeasibleProblemError,
@@ -85,13 +86,13 @@ class TestSolveSimplex:
 
 class TestSolveLP:
     def test_box_only(self):
-        res = solve_lp(np.array([1.0, -1.0]), lo=0.0, hi=1.0, backend="simplex")
+        res = solve_lp(np.array([1.0, -1.0]), lo=0.0, hi=1.0)
         np.testing.assert_allclose(res.x, [0.0, 1.0])
         assert res.objective == pytest.approx(-1.0)
 
     def test_box_only_unbounded(self):
         with pytest.raises(UnboundedProblemError):
-            solve_lp(np.array([-1.0]), lo=0.0, hi=np.inf, backend="simplex")
+            solve_lp(np.array([-1.0]), lo=0.0, hi=np.inf)
 
     def test_mixed_eq_and_ub(self):
         # min x1 + x2 st x1 + x2 >= 1 (as -x1 - x2 <= -1), x1 - x2 = 0.2.
@@ -104,9 +105,8 @@ class TestSolveLP:
             b_eq=np.array([0.2]),
             lo=0.0,
             hi=1.0,
-            backend="simplex",
         )
-        res_sp = solve_lp(
+        res_sp = solve_lp_highs(
             c,
             A_ub=np.array([[-1.0, -1.0]]),
             b_ub=np.array([-1.0]),
@@ -114,24 +114,8 @@ class TestSolveLP:
             b_eq=np.array([0.2]),
             lo=0.0,
             hi=1.0,
-            backend="scipy",
         )
         assert res_own.objective == pytest.approx(res_sp.objective, abs=1e-7)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            solve_lp(np.zeros(1), backend="mystery")  # type: ignore[arg-type]
-
-    def test_scipy_infeasible(self):
-        with pytest.raises(InfeasibleProblemError):
-            solve_lp(
-                np.zeros(2),
-                A_eq=np.array([[1.0, 1.0]]),
-                b_eq=np.array([5.0]),
-                lo=0.0,
-                hi=1.0,
-                backend="scipy",
-            )
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +129,8 @@ def test_simplex_agrees_with_highs_on_random_feasible_lps(seed: int):
     A = rng.normal(size=(m, n))
     interior = rng.uniform(0.1, 0.9, size=n)
     b = A @ interior + rng.uniform(0.05, 0.5, size=m)  # strictly feasible
-    own = solve_lp(c, A_ub=A, b_ub=b, lo=0.0, hi=1.0, backend="simplex")
-    ref = solve_lp(c, A_ub=A, b_ub=b, lo=0.0, hi=1.0, backend="scipy")
+    own = solve_lp(c, A_ub=A, b_ub=b, lo=0.0, hi=1.0)
+    ref = solve_lp_highs(c, A_ub=A, b_ub=b, lo=0.0, hi=1.0)
     assert own.objective == pytest.approx(ref.objective, abs=1e-6)
     # Feasibility of our solution.
     assert np.all(own.x >= -1e-8) and np.all(own.x <= 1 + 1e-8)
@@ -163,6 +147,6 @@ def test_simplex_equality_lps_match_highs(seed: int):
     A = rng.normal(size=(1, n))
     interior = rng.uniform(0.2, 0.8, size=n)
     b = A @ interior
-    own = solve_lp(c, A_eq=A, b_eq=b, lo=0.0, hi=1.0, backend="simplex")
-    ref = solve_lp(c, A_eq=A, b_eq=b, lo=0.0, hi=1.0, backend="scipy")
+    own = solve_lp(c, A_eq=A, b_eq=b, lo=0.0, hi=1.0)
+    ref = solve_lp_highs(c, A_eq=A, b_eq=b, lo=0.0, hi=1.0)
     assert own.objective == pytest.approx(ref.objective, abs=1e-6)
