@@ -43,6 +43,7 @@ _SOLVE_COUNTERS = (
     "p1_memo_misses",
     "p1_batched_solves",
     "p1_batched_capped",
+    "p1_capped_cancel_rows",
     "p1_batched_fallbacks",
     "p2_bw_bound_rows",
     "p2_bw_closed_form",

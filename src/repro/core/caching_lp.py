@@ -100,6 +100,8 @@ def solve_caching(
         raise ConfigurationError(
             f"mu must have shape (T, M, K), got {mu.shape}"
         )
+    if not np.isfinite(mu).all():
+        raise ConfigurationError("dual prices must be finite")
     if np.any(mu < -1e-9):
         raise ConfigurationError("dual prices must be non-negative")
     T = mu.shape[0]
@@ -349,7 +351,7 @@ def _certified_canonical(
     caps = np.asarray([cap], dtype=np.float64)
     x, ok = _relaxed_dp_stack(C, beta_arr, X0, caps)
     if not bool(ok[0]):
-        x, ok = capped_cancel_stack(C, beta_arr, X0, caps)
+        x, ok, _ = capped_cancel_stack(C, beta_arr, X0, caps)
         if not bool(ok[0]):
             return None
     xb = x[0]
@@ -370,18 +372,19 @@ def _solve_batched_p1(
     scenarios, where the relaxed optimum over-caps on (nearly) every row —
     goes to the exact cap-constrained cancel kernel
     (:func:`repro.core.capped.capped_cancel_stack`, counted as
-    ``p1_batched_capped``). Only rows neither stage certifies fall back to
-    the per-SBS flow. The accepted answers are bitwise what the flow
-    returns, because it answers from the same :func:`_certified_canonical`
-    predicate first. Returns ``{n: (x, objective)}`` for the accepted SBSs,
-    objectives evaluated by :func:`_objective_single` exactly as the flow
-    does.
+    ``p1_batched_capped``; ``p1_capped_cancel_rows`` counts the rows its
+    certificate sends to the cancel phase, summed over rounds). Only rows
+    neither stage certifies fall back to the per-SBS flow. The accepted
+    answers are bitwise what the flow returns, because it answers from the
+    same :func:`_certified_canonical` predicate first. Returns
+    ``{n: (x, objective)}`` for the accepted SBSs, objectives evaluated by
+    :func:`_objective_single` exactly as the flow does.
     """
     T = prices.shape[0]
     K = network.num_items
     idx = np.asarray(ns, dtype=np.intp)
     out: dict[int, tuple[FloatArray, float]] = {}
-    capped = 0
+    capped = cancel_rows = 0
     chunk = max(1, _BATCH_DP_CHUNK // max(1, T * K))
     for start in range(0, idx.size, chunk):
         sel = idx[start : start + chunk]
@@ -398,7 +401,10 @@ def _solve_batched_p1(
             )
         rest = np.flatnonzero(~ok)
         if rest.size:
-            xc, okc = capped_cancel_stack(C[rest], beta[rest], X0[rest], caps[rest])
+            xc, okc, cancels = capped_cancel_stack(
+                C[rest], beta[rest], X0[rest], caps[rest]
+            )
+            cancel_rows += cancels
             for i in np.flatnonzero(okc):
                 b = int(rest[i])
                 xb = xc[i]
@@ -409,6 +415,8 @@ def _solve_batched_p1(
                 capped += 1
     if capped:
         inc("p1_batched_capped", capped)
+    if cancel_rows:
+        inc("p1_capped_cancel_rows", cancel_rows)
     return out
 
 

@@ -1,13 +1,12 @@
 """Exact cap-constrained ``P1`` kernel — negative-cycle canceling.
 
 The batched relaxation pass (:func:`repro.core.caching_lp._relaxed_dp_stack`)
-accepts a row only when the *cardinality-relaxed* optimum happens to satisfy
-the per-slot cache cap. On the paper's uniform-cost scenarios that premise
-collapses: the relaxed optimum wants to cache every profitable item at once,
-the cap binds in (nearly) every slot, and every row storms to the per-SBS
-min-cost-flow backend — 1278 of 1284 memo misses on the headline quick
-workload, each paying a Python-heap Dijkstra. This module solves those
-cap-bound rows exactly, vectorized over the whole miss stack.
+accepts a row only when the *cardinality-relaxed* optimum satisfies the
+per-slot cache cap. On the paper's uniform-cost scenarios the cap binds in
+(nearly) every slot, so without this module 1278 of 1284 memo misses on the
+headline quick workload stormed to the per-SBS min-cost flow, each paying a
+Python-heap Dijkstra. This module solves those cap-bound rows exactly,
+vectorized over the whole miss stack.
 
 Method
 ------
@@ -21,29 +20,39 @@ integral flow of the caching network (the topology
 feasible flow is minimum-cost **iff its residual graph admits no negative-cost
 cycle**, so:
 
-1. **Check** (batched, no parent tracking): label-correcting Bellman sweeps
-   over the residual graph — one forward and one backward pass over the
-   horizon per sweep pair, all rows at once. Labels start at zero (the
-   implicit super-source) and only decrease; a row whose labels reach a fixed
-   point has *no* improving residual cycle and its candidate is accepted as
-   exactly optimal.
-2. **Cancel** (per row, rare): a row still improving at the sweep budget
-   contains a negative cycle. Re-run its sweeps with parent pointers and the
-   float-band update gate, walk the pointers into the cycle, flip the hold
-   arcs it traverses (each toggles one ``x[t, k]``), and go back to step 1.
+1. **Check** (batched, one shot): a negative-cycle test on the ``T + 1``
+   hubs. Each item's residual chain ``in(0), out(0), in(1), ...`` is a path
+   whose every arc is open in exactly one direction (add or drop, continue
+   forward or back), so no cycle fits inside one chain: every residual cycle
+   passes a hub. An item's cheapest hub-to-hub path is then an outer sum of
+   prefix sums along its chain; the minimum over items, the hub-chain arcs
+   and the one-item self-loops give a ``(T+1)^2`` matrix per row, and a
+   Floyd–Warshall min-plus closure flags the rows with a negative diagonal
+   entry. An unflagged row's candidate is accepted as exactly optimal.
+2. **Cancel** (per row, rare): a flagged row contains a negative cycle. Run
+   Bellman sweeps on it with parent pointers and the float-band update gate,
+   walk the pointers into the cycle, flip the hold arcs it traverses (each
+   toggles one ``x[t, k]``), and go back to step 1.
 
 On the captured headline fallback storm the candidate is already optimal for
 86% of rows and no row needs more than four cancel rounds.
 
 Exactness and floats
 --------------------
-An accepted row is a flow with no strictly-improving residual relaxation under
+An accepted row is a flow with no strictly-improving residual cycle under
 float arithmetic — the same epistemic class as the min-cost flow fallback's own
-optimality condition (both compare float path costs). The cancel phase gates
-updates by the relaxation pass's danger band ``16 * eps * max(T, 4) * scale``
-and accepts a residual cycle whose true gain is within the band as a tie, so
-sub-band float ambiguity never drives a flip. On all 1278 captured storm rows
-the kernel's objective equals the flow fallback's bitwise.
+optimality condition. Every arc of the check is shifted by the row's danger
+band ``tol = 16 * eps * max(T, 4) * scale``: a cycle improves only if its gain
+beats its arc count times ``tol``, so exact ties are never cycles. The check
+sums a path as a difference of prefix sums, not arc by arc; each addition
+rounds by at most half an ulp of a partial sum of at most ``2T`` arcs, about
+``eps * T * scale``, a sixteenth of the band every arc adds, so the order can
+flip a verdict only for a cycle whose gain lies within a few ulps of its band
+edge (the tests pin the verdicts to sweeps run to their fixed point). The
+cancel phase gates updates by the same band and accepts a cycle whose true
+gain is within it as a tie, so sub-band float ambiguity never drives a flip.
+On all 1278 captured storm rows the kernel's objective equals the flow
+fallback's bitwise.
 
 Every elementwise operation here is independent of the stack size ``B``
 (reductions run over items and the horizon only), so a ``B = 1`` call made by
@@ -68,18 +77,9 @@ _INF = float("inf")
 #: hitting this bound means the candidate was unusually far from optimal.
 MAX_ROUNDS = 10
 
-
-def _detect_pairs(T: int) -> int:
-    """Sweep-pair budget for the batched convergence check.
-
-    A forward+backward pair propagates label decreases across the whole
-    horizon in each direction, so fixed points arrive in a handful of pairs
-    (3–4 on the captured storm). A row still changing here is *routed* to
-    the cancel phase, never rejected, so the budget is a routing heuristic:
-    small enough that cycle rows don't burn sweeps proving the obvious,
-    large enough that legitimate fixed points land within it.
-    """
-    return 8 + T // 8
+#: Rows per certificate call are capped so its ``(rows, T+1, T+1, K)``
+#: tensors stay near this many elements (8 MB each).
+_CERT_CHUNK = 1 << 20
 
 
 def _cancel_pairs(T: int) -> int:
@@ -132,92 +132,84 @@ def _residual_masks(
     return on, ent, cont, exi
 
 
-def _bellman_converged(
+def _hub_certified(
     C: FloatArray,
     fetch: FloatArray,
-    on: np.ndarray,
-    ent: np.ndarray,
-    cont: np.ndarray,
-    exi: np.ndarray,
-    counts: np.ndarray,
+    x: FloatArray,
+    X0: FloatArray,
     caps: FloatArray,
     tol: FloatArray,
-    max_pairs: int,
 ) -> np.ndarray:
     """Which rows' residual graphs admit no improving cycle (batched).
 
-    Residual arc costs are pre-masked with ``+inf`` where an arc is absent
-    and pre-shifted by each row's float danger band ``tol``, so every
-    relaxation is one fused add plus one in-place minimum and labels for
-    all ``B`` rows advance together. The shift makes sub-band residual
-    slivers (float-noise "cycles" of vanishing gain) non-improving — they
-    are ties, and damping them is what makes fixed points arrive in a
-    handful of sweep pairs — while a genuinely improving cycle's gain
-    dwarfs its accumulated shift. Returns the ``(B,)`` converged mask: a
-    row that stopped changing is at a fixed point (its updates read only
-    its own slices, so it can never change again) and its candidate is
-    optimal within the band; a row still changing at the budget holds an
-    improving cycle for the cancel phase to extract and re-judge against
-    the unshifted costs.
+    The module docstring's one-shot check on arc costs shifted by ``tol``:
+    a forward hub path ``a -> b`` runs ``in(a) .. out(b-1)`` over slots the
+    item does not hold, a backward one ``out(a-1) .. in(b)`` over slots it
+    holds. Rows left ``False`` hold an improving cycle for the cancel phase
+    to extract and re-judge against the unshifted costs.
     """
     B, T, K = C.shape
-    tb = np.asarray(tol)[:, None]
-    t3 = tb[:, :, None]
+    n = T + 1
+    on, ent, cont, exi = _residual_masks(x, X0)
+    t3 = np.asarray(tol)[:, None, None]
     a_fetch = np.where(ent, _INF, fetch) + t3  # hub(t) -> in(t,k): pay fetch
     a_fetchr = np.where(ent, -fetch, _INF) + t3  # in(t,k) -> hub(t): refund
-    a_add = np.where(on, _INF, -C) + t3  # in -> out: start holding, gain c
-    a_drop = np.where(on, C, _INF) + t3  # out -> in: stop holding
-    g_cf = np.where(cont, _INF, 0.0) + t3  # out(t)  -> in(t+1)
-    g_cr = np.where(cont, 0.0, _INF) + t3  # in(t+1) -> out(t)
-    g_ef = np.where(exi, _INF, 0.0) + t3  # out(t)  -> hub(t+1)
-    g_er = np.where(exi, 0.0, _INF) + t3  # hub(t+1) -> out(t)
-    h_f = np.where(counts > 0, 0.0, _INF) + tb  # hub chain forward
-    h_r = np.where(counts < np.asarray(caps)[:, None], 0.0, _INF) + tb  # back
+    g_cf = np.where(cont, _INF, t3)  # out(t)  -> in(t+1), cost 0 + tol
+    g_cr = np.where(cont, t3, _INF)  # in(t+1) -> out(t)
+    g_ef = np.where(exi, _INF, t3)  # out(t)  -> hub(t+1)
+    g_er = np.where(exi, t3, _INF)  # hub(t+1) -> out(t)
 
-    d_hub = np.zeros((B, T + 1))
-    d_in = np.zeros((B, T, K))
-    d_out = np.zeros((B, T, K))
-    changed = np.ones(B, dtype=bool)
-    for _ in range(max_pairs):
-        s_hub = d_hub.copy()
-        s_in = d_in.copy()
-        s_out = d_out.copy()
-        for t in range(T):
-            cin = d_hub[:, t, None] + a_fetch[:, t]
-            if t:
-                cin = np.minimum(cin, d_out[:, t - 1] + g_cf[:, t - 1])
-            dit = d_in[:, t]
-            np.minimum(dit, cin, out=dit)
-            dot = d_out[:, t]
-            np.minimum(dot, dit + a_add[:, t], out=dot)
-            np.minimum(dit, dot + a_drop[:, t], out=dit)
-            hc = np.minimum(
-                (dot + g_ef[:, t]).min(axis=1), d_hub[:, t] + h_f[:, t]
-            )
-            dh = d_hub[:, t + 1]
-            np.minimum(dh, hc, out=dh)
-        for t in range(T - 1, -1, -1):
-            cout = d_hub[:, t + 1, None] + g_er[:, t]
-            if t < T - 1:
-                cout = np.minimum(cout, d_in[:, t + 1] + g_cr[:, t])
-            dot = d_out[:, t]
-            np.minimum(dot, cout, out=dot)
-            dit = d_in[:, t]
-            np.minimum(dit, dot + a_drop[:, t], out=dit)
-            np.minimum(dot, dit + a_add[:, t], out=dot)
-            hc = np.minimum(
-                (dit + a_fetchr[:, t]).min(axis=1), d_hub[:, t + 1] + h_r[:, t]
-            )
-            dh = d_hub[:, t]
-            np.minimum(dh, hc, out=dh)
-        changed = (
-            (d_hub != s_hub).any(axis=1)
-            | (d_in != s_in).any(axis=(1, 2))
-            | (d_out != s_out).any(axis=(1, 2))
-        )
-        if not changed.any():
-            break
-    return ~changed
+    # Chain prefix sums: each chain arc is open in exactly one direction,
+    # the hold arc as drop (held) or add, the continue arc at 0 either way.
+    seq = np.empty((B, T, 2, K))
+    seq[:, :, 0] = np.where(on, C, -C) + t3
+    seq[:, :, 1] = t3
+    pos = np.cumsum(seq.reshape(B, 2 * T, K), axis=1)
+    out_s = pos[:, 0::2]  # at out(t)
+    in_s = np.concatenate([np.zeros((B, 1, K)), pos[:, 1:-1:2]], axis=1)  # in(t)
+
+    # Entering or leaving a chain at a hub may cross the continue arc there.
+    via_out = g_er[:, :-1] + g_cf[:, :-1]  # hub(a) -> out(a-1) -> in(a)
+    via_in = a_fetch[:, 1:] + g_cr[:, :-1]  # hub(a) -> in(a) -> out(a-1)
+    enter_f = a_fetch.copy()
+    np.minimum(enter_f[:, 1:], via_out, out=enter_f[:, 1:])
+    enter_b = g_er.copy()
+    np.minimum(enter_b[:, :-1], via_in, out=enter_b[:, :-1])
+    leave_f = g_ef.copy()
+    np.minimum(leave_f[:, :-1], g_cf[:, :-1] + a_fetchr[:, 1:], out=leave_f[:, :-1])
+    leave_b = a_fetchr.copy()
+    np.minimum(leave_b[:, 1:], g_cr[:, :-1] + g_ef[:, :-1], out=leave_b[:, 1:])
+
+    u = np.full((2, B, n, 1, K), _INF)  # by start hub: forward, backward
+    v = np.full((2, B, 1, n, K), _INF)  # by end hub
+    u[0, :, :T, 0] = enter_f - in_s
+    u[1, :, 1:, 0] = enter_b + out_s
+    v[0, :, 0, 1:] = out_s + leave_f
+    v[1, :, 0, :T] = leave_b - in_s
+    hub = np.arange(n)
+    back = (hub[:, None] > hub[None, :])[:, :, None]  # a > b: backward paths
+    cost = u[0] + v[0]
+    np.copyto(cost, u[1] + v[1], where=back)
+    # a -> b is open iff the item is held in none (a < b) or all (a > b) of
+    # the slots between: ``held[b] - held[a] == min(0, b - a)``.
+    held = np.zeros((B, n, K), dtype=np.int32)
+    np.cumsum(on, axis=1, out=held[:, 1:])
+    gap = np.minimum(0, hub[None, :] - hub[:, None])[:, :, None]
+    open_ = held[:, None, :, :] - held[:, :, None, :] == gap
+    D = np.min(cost, axis=3, where=open_, initial=_INF)
+
+    flat = D.reshape(B, n * n)
+    diag = flat[:, :: n + 1]  # a == b: the empty path or a one-item self-loop
+    diag[:] = 0.0
+    loop = np.minimum(via_in + g_ef[:, :-1], via_out + a_fetchr[:, 1:])
+    np.minimum(diag[:, 1:-1], loop.min(axis=2), out=diag[:, 1:-1])
+    counts = on.sum(axis=2)
+    up, down = flat[:, 1 :: n + 1], flat[:, n :: n + 1]  # hub chain arcs
+    np.minimum(up, np.where(counts > 0, t3[:, 0], _INF), out=up)
+    np.minimum(down, np.where(counts < caps[:, None], t3[:, 0], _INF), out=down)
+    for m in range(n):  # Floyd–Warshall closure
+        np.minimum(D, D[:, :, m, None] + D[:, None, m, :], out=D)
+    return (diag >= 0.0).all(axis=1)
 
 
 def _arc_cost(
@@ -295,8 +287,8 @@ def _cancel_round_single(
         better = cand < d - tol
         if not better.any():
             return False
-        d[better] = cand[better]
-        p[better] = np.broadcast_to(pids, cand.shape)[better]
+        np.copyto(d, cand, where=better)
+        np.copyto(p, pids, where=better)
         return True
 
     def upd_hub(t: int, cand: float, pid: int) -> bool:
@@ -384,6 +376,19 @@ def _cancel_round_single(
     return "stuck", None
 
 
+def _arc_inputs(
+    C: FloatArray, beta: FloatArray, X0: FloatArray
+) -> tuple[FloatArray, FloatArray]:
+    """Each cell's fetch cost (free at ``t = 0`` for initially cached items)
+    and each row's danger band ``tol = 16 * eps * max(T, 4) * scale``."""
+    B, T, K = C.shape
+    beta = np.asarray(beta, dtype=np.float64)
+    fetch = np.broadcast_to(beta[:, None, None], (B, T, K)).copy()
+    fetch[:, 0][X0 > 0.5] = 0.0
+    scale = np.maximum(1.0, np.maximum(beta, np.abs(C).max(axis=(1, 2))))
+    return fetch, (16.0 * _EPS * max(T, 4)) * scale
+
+
 def capped_cancel_stack(
     C: FloatArray,
     beta: FloatArray,
@@ -391,46 +396,41 @@ def capped_cancel_stack(
     caps: FloatArray,
     *,
     max_rounds: int = MAX_ROUNDS,
-) -> tuple[FloatArray, np.ndarray]:
+) -> tuple[FloatArray, np.ndarray, int]:
     """Exact cap-constrained ``P1`` over a ``(B, T, K)`` stack.
 
-    Returns ``(x, ok)``: trajectories and the mask of rows solved to
-    certified optimality. Rows with ``~ok`` (budget exhaustion — never
-    observed on the captured storm) must go to the per-SBS flow fallback;
-    their ``x`` slices are meaningless.
+    Returns ``(x, ok, cancel_rows)``: trajectories, the mask of rows solved
+    to certified optimality, and how many rows the certificate sent to the
+    cancel phase, summed over rounds. Rows with ``~ok`` (budget exhaustion
+    — never observed on the captured storm) must go to the per-SBS flow
+    fallback; their ``x`` slices are meaningless.
     """
     B, T, K = C.shape
     ok = np.zeros(B, dtype=bool)
     if B == 0:
-        return np.zeros((B, T, K)), ok
+        return np.zeros((B, T, K)), ok, 0
     x = _prefix_greedy_stack(C, beta, X0, caps) if T and K else np.zeros((B, T, K))
     if T == 0 or K == 0:
         ok[:] = True
-        return x, ok
+        return x, ok, 0
 
-    fetch = np.broadcast_to(
-        np.asarray(beta, dtype=np.float64)[:, None, None], (B, T, K)
-    ).copy()
-    fetch[:, 0][X0 > 0.5] = 0.0
-    scale = np.maximum(
-        1.0, np.maximum(np.asarray(beta, dtype=np.float64), np.abs(C).max(axis=(1, 2)))
-    )
-    tol = (16.0 * _EPS * max(T, 4)) * scale
-    dp = _detect_pairs(T)
+    fetch, tol = _arc_inputs(C, beta, X0)
+    caps = np.asarray(caps)
     cp = _cancel_pairs(T)
+    step = max(1, _CERT_CHUNK // ((T + 1) ** 2 * K))
+    cancel_rows = 0
 
     active = np.arange(B)
     for _ in range(max_rounds):
-        on, ent, cont, exi = _residual_masks(x[active], X0[active])
-        counts = on.sum(axis=2)
-        conv = _bellman_converged(
-            C[active], fetch[active], on, ent, cont, exi, counts,
-            np.asarray(caps)[active], tol[active], dp,
-        )
+        conv = np.concatenate([
+            _hub_certified(C[r], fetch[r], x[r], X0[r], caps[r], tol[r])
+            for r in (active[i : i + step] for i in range(0, active.size, step))
+        ])
         ok[active[conv]] = True
         active = active[~conv]
         if active.size == 0:
             break
+        cancel_rows += active.size
         keep: list[int] = []
         for b in active:
             status, flips = _cancel_round_single(
@@ -450,4 +450,4 @@ def capped_cancel_stack(
         active = np.asarray(keep, dtype=np.intp)
         if active.size == 0:
             break
-    return x, ok
+    return x, ok, cancel_rows

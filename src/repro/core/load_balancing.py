@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.config import RuntimeConfig, resolved_batched, resolved_bw_closed_form
 from repro.core.problem import JointProblem
-from repro.exceptions import DimensionMismatchError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.network.costs import QuadraticOperatingCost
 from repro.optim.budget import SolveBudget
 from repro.optim.fista import minimize_fista
@@ -99,6 +99,8 @@ def solve_p2(
     """
     if mu.shape != problem.y_shape:
         raise DimensionMismatchError(f"mu shape {mu.shape} != {problem.y_shape}")
+    if not np.isfinite(mu).all():
+        raise ConfigurationError("dual prices must be finite")
     closed_form = resolved_bw_closed_form(config)
     if _uses_fast_path(problem):
         return _solve_p2_fast(

@@ -189,6 +189,9 @@ def solve_primal_dual(
             f"caching_backend must be 'flow', got {caching_backend!r}"
         )
 
+    if mu0 is not None and not np.isfinite(mu0).all():
+        raise ConfigurationError("mu0 must be finite")
+
     sbs_of = problem.network.class_sbs
     mu = np.zeros(problem.y_shape) if mu0 is None else np.maximum(mu0, 0.0)
     if mu.shape != problem.y_shape:

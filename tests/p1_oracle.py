@@ -1,4 +1,4 @@
-"""Independent HiGHS oracles: general LPs and subproblem ``P1`` (Eqs. 20-22).
+"""Independent ``P1`` oracles: HiGHS LPs and the residual-graph sweeps.
 
 The library solves LPs with its own simplex (``repro.optim.linprog``) and
 answers ``P1`` with a digest memo, a relaxed DP, a capped cancel kernel and
@@ -8,6 +8,11 @@ none of that code: :func:`solve_lp_highs` hands an LP to
 writes the LP of Eqs. 20-22 out as a sparse matrix for it. Theorem 1
 (total unimodularity) makes that LP's optimum integral, so its objective
 is the exact ``P1`` optimum every solve path must reach.
+
+:func:`bellman_converged` is the capped kernel's former optimality check:
+label-correcting sweeps over a candidate's residual graph. It is kept as
+the reference the kernel's one-shot hub-graph certificate is tested
+against.
 """
 
 from __future__ import annotations
@@ -103,3 +108,86 @@ def solve_caching_highs(network, mu, x_initial, **_ignored) -> CachingSolution:
 def _p1_objective(c, beta, x, x0) -> float:
     prev = np.vstack([np.asarray(x0, dtype=np.float64)[None, :], x[:-1]])
     return float(beta * np.clip(x - prev, 0.0, None).sum() - (c * x).sum())
+
+
+def bellman_converged(
+    C: np.ndarray,
+    fetch: np.ndarray,
+    on: np.ndarray,
+    ent: np.ndarray,
+    cont: np.ndarray,
+    exi: np.ndarray,
+    counts: np.ndarray,
+    caps: np.ndarray,
+    tol: np.ndarray,
+    max_pairs: int,
+) -> np.ndarray:
+    """Which rows' residual graphs admit no improving cycle, by sweeps.
+
+    The reference for :func:`repro.core.capped._hub_certified`: the same
+    residual arcs, each shifted by the row's danger band ``tol``, relaxed
+    by label-correcting Bellman sweeps — one forward and one backward pass
+    over the horizon per pair, all rows at once — from zero labels (the
+    implicit super-source). A row whose labels stop changing is at a fixed
+    point and holds no improving cycle. With ``max_pairs`` at least the
+    node count ``T + 1 + 2 T K`` every row without one reaches its fixed
+    point, so the mask is exact up to float summation order.
+    """
+    B, T, K = C.shape
+    tb = np.asarray(tol)[:, None]
+    t3 = tb[:, :, None]
+    a_fetch = np.where(ent, np.inf, fetch) + t3  # hub(t) -> in(t,k): pay fetch
+    a_fetchr = np.where(ent, -fetch, np.inf) + t3  # in(t,k) -> hub(t): refund
+    a_add = np.where(on, np.inf, -C) + t3  # in -> out: start holding, gain c
+    a_drop = np.where(on, C, np.inf) + t3  # out -> in: stop holding
+    g_cf = np.where(cont, np.inf, 0.0) + t3  # out(t)  -> in(t+1)
+    g_cr = np.where(cont, 0.0, np.inf) + t3  # in(t+1) -> out(t)
+    g_ef = np.where(exi, np.inf, 0.0) + t3  # out(t)  -> hub(t+1)
+    g_er = np.where(exi, 0.0, np.inf) + t3  # hub(t+1) -> out(t)
+    h_f = np.where(counts > 0, 0.0, np.inf) + tb  # hub chain forward
+    h_r = np.where(counts < np.asarray(caps)[:, None], 0.0, np.inf) + tb  # back
+
+    d_hub = np.zeros((B, T + 1))
+    d_in = np.zeros((B, T, K))
+    d_out = np.zeros((B, T, K))
+    changed = np.ones(B, dtype=bool)
+    for _ in range(max_pairs):
+        s_hub = d_hub.copy()
+        s_in = d_in.copy()
+        s_out = d_out.copy()
+        for t in range(T):
+            cin = d_hub[:, t, None] + a_fetch[:, t]
+            if t:
+                cin = np.minimum(cin, d_out[:, t - 1] + g_cf[:, t - 1])
+            dit = d_in[:, t]
+            np.minimum(dit, cin, out=dit)
+            dot = d_out[:, t]
+            np.minimum(dot, dit + a_add[:, t], out=dot)
+            np.minimum(dit, dot + a_drop[:, t], out=dit)
+            hc = np.minimum(
+                (dot + g_ef[:, t]).min(axis=1), d_hub[:, t] + h_f[:, t]
+            )
+            dh = d_hub[:, t + 1]
+            np.minimum(dh, hc, out=dh)
+        for t in range(T - 1, -1, -1):
+            cout = d_hub[:, t + 1, None] + g_er[:, t]
+            if t < T - 1:
+                cout = np.minimum(cout, d_in[:, t + 1] + g_cr[:, t])
+            dot = d_out[:, t]
+            np.minimum(dot, cout, out=dot)
+            dit = d_in[:, t]
+            np.minimum(dit, dot + a_drop[:, t], out=dit)
+            np.minimum(dot, dit + a_add[:, t], out=dot)
+            hc = np.minimum(
+                (dit + a_fetchr[:, t]).min(axis=1), d_hub[:, t + 1] + h_r[:, t]
+            )
+            dh = d_hub[:, t]
+            np.minimum(dh, hc, out=dh)
+        changed = (
+            (d_hub != s_hub).any(axis=1)
+            | (d_in != s_in).any(axis=(1, 2))
+            | (d_out != s_out).any(axis=(1, 2))
+        )
+        if not changed.any():
+            break
+    return ~changed

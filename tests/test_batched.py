@@ -24,7 +24,14 @@ from repro.core.caching_lp import (
     class_prices,
     solve_caching,
 )
-from repro.core.capped import capped_cancel_stack
+from repro.api import build_scenario
+from repro.core.capped import (
+    _arc_inputs,
+    _hub_certified,
+    _prefix_greedy_stack,
+    _residual_masks,
+    capped_cancel_stack,
+)
 from repro.core.load_balancing import (
     _project_blocks_capped,
     _solve_p2_fast,
@@ -39,6 +46,8 @@ from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
 from repro.optim.waterfill import _solve_bw_bound, waterfill_batch
 from repro.perf.solvecache import SolveCache
+
+from p1_oracle import bellman_converged
 
 BATCHED = RuntimeConfig(batched=True)
 LOOPED = RuntimeConfig(batched=False)
@@ -813,6 +822,21 @@ class TestP1Ties:
         assert rec.metrics.counter("p1_batched_fallbacks") == 0
         assert rec.metrics.counter("p1_batched_capped") > 0
 
+    def test_cancel_rows_counted_per_round(self):
+        """``p1_capped_cancel_rows`` sums, over rounds, the rows the capped
+        kernel's certificate sends to the cancel phase."""
+        problem = build_scenario(seed=1, horizon=40, beta=0.5).problem()
+        net, mu = problem.network, 10.0 * problem.demand
+        rec = Recorder()
+        with record_into(rec):
+            solve_caching(net, mu, problem.x_initial)
+        C = class_prices(net, mu).transpose(1, 0, 2)
+        _, ok, cancels = capped_cancel_stack(
+            C, net.replacement_costs, problem.x_initial, net.cache_sizes
+        )
+        assert ok.all() and cancels > 0
+        assert rec.metrics.counter("p1_capped_cancel_rows") == cancels
+
     @settings(max_examples=25, deadline=None)
     @given(dims)
     def test_duplicated_item_stacks_accepted(self, d):
@@ -863,7 +887,7 @@ class TestCappedKernel:
     def test_accepted_rows_are_flow_optimal(self, seed, B, T, K):
         rng = np.random.default_rng(seed)
         C, beta, x0, caps = self._instance(rng, B, T, K)
-        x, ok = capped_cancel_stack(C, beta, x0, caps)
+        x, ok, _ = capped_cancel_stack(C, beta, x0, caps)
         assert ok.any(), "kernel certified nothing on a benign stack"
         for b in np.flatnonzero(ok):
             xb = x[b]
@@ -881,24 +905,95 @@ class TestCappedKernel:
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5),
-           st.integers(1, 5), st.integers(2, 7))
+           st.integers(1, 12), st.integers(2, 7))
     def test_stacked_equals_single_row(self, seed, B, T, K):
         """B-elementwise discipline: a row's answer must not depend on its
         batch-mates — stacked and B=1 runs agree bitwise."""
         rng = np.random.default_rng(seed)
         C, beta, x0, caps = self._instance(rng, B, T, K)
-        x, ok = capped_cancel_stack(C, beta, x0, caps)
+        x, ok, _ = capped_cancel_stack(C, beta, x0, caps)
         for b in range(B):
-            x1, ok1 = capped_cancel_stack(
+            x1, ok1, _ = capped_cancel_stack(
                 C[b : b + 1], beta[b : b + 1], x0[b : b + 1], caps[b : b + 1]
             )
             assert bool(ok1[0]) == bool(ok[b])
             if ok[b]:
                 assert np.array_equal(x1[0], x[b])
 
+    def _family(self, rng, B, T, K, family):
+        """One family's stack, caps anywhere in ``0..K``."""
+        if family == "uniform":
+            C = np.broadcast_to(rng.uniform(0.1, 3.0, (B, 1, 1)), (B, T, K)).copy()
+        elif family == "duplicated":
+            base = rng.uniform(0.0, 2.0, (B, T, max(1, K // 2)))
+            C = base[:, :, np.arange(K) % base.shape[2]]
+        elif family == "zero_beta":
+            C = np.round(rng.uniform(0.0, 1.5, (B, T, K)) * 4.0) / 4.0
+        else:
+            C = rng.uniform(-0.2, 1.0, (B, T, K))
+        beta = np.zeros(B) if family == "zero_beta" else rng.uniform(0.0, 2.0, B)
+        caps = rng.integers(0, K + 1, size=B)
+        x0 = (rng.random((B, K)) < 0.4).astype(np.float64)
+        return C, beta, x0, caps
+
+    def _assert_certificate_matches_sweeps(self, C, beta, x0, caps, x):
+        """The certificate's mask equals the sweeps' mask at their fixed
+        point: ``T + 1 + 2 T K`` pairs outlast any convergent row."""
+        B, T, K = C.shape
+        fetch, tol = _arc_inputs(C, beta, x0)
+        on, ent, cont, exi = _residual_masks(x, x0)
+        swept = bellman_converged(
+            C, fetch, on, ent, cont, exi, on.sum(axis=2), caps, tol,
+            T + 1 + 2 * T * K,
+        )
+        certified = _hub_certified(C, fetch, x, x0, caps, tol)
+        assert np.array_equal(certified, swept), (certified, swept)
+        return certified
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 12),
+           st.integers(1, 8),
+           st.sampled_from(["random", "uniform", "duplicated", "zero_beta"]))
+    def test_certificate_matches_fixed_point_sweeps(self, seed, B, T, K, family):
+        """The hub-graph certificate routes exactly the rows the Bellman
+        sweeps route — on the prefix-greedy candidate, and on a random
+        cap-feasible trajectory, which usually holds improving cycles."""
+        rng = np.random.default_rng(seed)
+        C, beta, x0, caps = self._family(rng, B, T, K, family)
+        x = _prefix_greedy_stack(C, beta, x0, caps)
+        self._assert_certificate_matches_sweeps(C, beta, x0, caps, x)
+        rank = rng.random((B, T, K)).argsort(axis=2).argsort(axis=2)
+        keep = rng.integers(0, caps[:, None, None] + 1, size=(B, T, 1))
+        self._assert_certificate_matches_sweeps(
+            C, beta, x0, caps, (rank < keep).astype(np.float64)
+        )
+
+    def test_certificate_matches_sweeps_at_horizon_40(self):
+        """Long horizons stretch the certificate's prefix sums; on the paper
+        scenario's horizon-40 prices both verdicts still match the sweeps."""
+        problem = build_scenario(seed=1, horizon=40, beta=50.0).problem()
+        c = class_prices(problem.network, problem.demand)[:, 0, :8]
+        rows = [(0.05, 1.0), (0.5, 10.0), (2.0, 1.0), (5.0, 10.0), (50.0, 1.0)]
+        C = np.stack([f * c for _, f in rows])
+        beta = np.array([b for b, _ in rows])
+        x0 = np.zeros((len(rows), 8))
+        caps = np.full(len(rows), 3)
+        x = _prefix_greedy_stack(C, beta, x0, caps)
+        certified = self._assert_certificate_matches_sweeps(C, beta, x0, caps, x)
+        assert certified.any() and not certified.all(), certified
+
+    def test_self_loop_is_a_cycle(self):
+        """With a negative ``beta`` (no model has one) re-fetching a held
+        item at hub 1 is the only improving cycle; it closes at one hub."""
+        C, beta = np.ones((1, 2, 1)), np.array([-0.1])
+        x0, caps = np.zeros((1, 1)), np.array([1])
+        x = _prefix_greedy_stack(C, beta, x0, caps)
+        assert x.all()  # held in both slots, so hub 1 sits mid-run
+        assert not self._assert_certificate_matches_sweeps(C, beta, x0, caps, x)[0]
+
     def test_zero_cap_keeps_cache_empty(self, rng):
         C = rng.uniform(0.0, 1.0, size=(2, 3, 4))
-        x, ok = capped_cancel_stack(
+        x, ok, _ = capped_cancel_stack(
             C, np.array([0.5, 0.0]), np.zeros((2, 4)), np.array([0, 0])
         )
         assert ok.all()
@@ -911,7 +1006,7 @@ class TestCappedKernel:
         beta = np.array([0.0, 0.3, 1.0])
         caps = np.array([5, 5, 5])
         x0 = np.zeros((3, 5))
-        x, ok = capped_cancel_stack(C, beta, x0, caps)
+        x, ok, _ = capped_cancel_stack(C, beta, x0, caps)
         for b in np.flatnonzero(ok):
             obj = _objective_single(C[b], float(beta[b]), x[b], x0[b])
             _, obj_f = _solve_single_sbs_flow(
@@ -920,7 +1015,7 @@ class TestCappedKernel:
             assert obj == pytest.approx(obj_f, abs=1e-12)
 
     def test_empty_stack_shapes(self):
-        x, ok = capped_cancel_stack(
+        x, ok, _ = capped_cancel_stack(
             np.zeros((0, 3, 4)), np.zeros(0), np.zeros((0, 4)), np.zeros(0, dtype=int)
         )
         assert x.shape == (0, 3, 4)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.caching_lp import solve_caching
 from repro.core.exhaustive import solve_exhaustive
+from repro.core.load_balancing import solve_p2
 from repro.core.primal_dual import solve_primal_dual
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError, DimensionMismatchError
@@ -78,6 +80,21 @@ class TestJointProblem:
         else:
             with pytest.raises(ConfigurationError):
                 build()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["solve_caching", "solve_p2", "mu0"])
+    def test_non_finite_multipliers_raise(self, tiny_problem, entry, value):
+        """One NaN or infinite price raises instead of returning a NaN or
+        infinite objective or lower bound."""
+        mu = np.ones(tiny_problem.y_shape)
+        mu[1, 0, 2] = value
+        with pytest.raises(ConfigurationError):
+            if entry == "solve_caching":
+                solve_caching(tiny_problem.network, mu, tiny_problem.x_initial)
+            elif entry == "solve_p2":
+                solve_p2(tiny_problem, mu)
+            else:
+                solve_primal_dual(tiny_problem, max_iter=3, mu0=mu)
 
     def test_check_feasible_accepts_valid(self, tiny_problem):
         x = np.zeros(tiny_problem.x_shape)
