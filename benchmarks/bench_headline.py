@@ -50,6 +50,7 @@ _SOLVE_COUNTERS = (
     "p2_bisection_fallbacks",
     "p2_bisection_fills",
     "p2_bisection_replayed",
+    "p2_bisection_fixed_depth",
 )
 
 
@@ -195,11 +196,15 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
             )
 
     # Every bandwidth-bound P2 row is accounted for: answered by the
-    # closed-form parametric solve or counted as a bisection fallback, of
-    # which the threshold replay answers a subset.
+    # closed-form parametric solve or counted as a bisection fallback, and
+    # every bisected row by the threshold search or the fixed-depth
+    # bisection.
     counters = payload["solve_counters"]
     assert (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         == counters["p2_bw_bound_rows"]
     )
-    assert counters["p2_bisection_replayed"] <= counters["p2_bisection_fallbacks"]
+    assert (
+        counters["p2_bisection_replayed"] + counters["p2_bisection_fixed_depth"]
+        == counters["p2_bisection_fallbacks"]
+    )

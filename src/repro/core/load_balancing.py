@@ -22,9 +22,9 @@ constraint is slack (the common case). When it binds, rows with at most
 two distinct weights take the exact parametric bound solve (DESIGN.md §7)
 and all others — every bound row of an SBS serving three or more MU
 classes of distinct weight, as in the paper's scenarios — take the
-26-level residual bisection, which replays its levels from one located
-threshold (``closed_form=False`` sends every bound row there for A/B
-runs). Both layouts are bit-identical by construction, and results agree
+26-level residual bisection, whose bytes a certified search over the
+fill's allocation-class breakpoints returns in a few fills per row
+(``closed_form=False`` sends every bound row there for A/B runs). Both layouts are bit-identical by construction, and results agree
 with the historical all-bisection solver to the documented ``<= 1e-9``
 objective envelope (the closed form is exact where the bisection is a
 ``2^-26``-bracketed approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM``)
@@ -133,10 +133,14 @@ def solve_y_given_x(
     Enforces ``y <= x`` directly; with the paper's costs this is the greedy
     bandwidth fill by descending ``omega`` (a fractional knapsack), solved
     in closed form for all slots at once. ``budget`` caps the FISTA
-    fallback only (the closed form is a single exact pass).
+    fallback only (the closed form is a single exact pass). ``x`` must lie
+    in ``[0, 1]``: an entry outside it, or NaN, raises
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     if x.shape != problem.x_shape:
         raise DimensionMismatchError(f"x shape {x.shape} != {problem.x_shape}")
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ConfigurationError("cache entries must lie in [0, 1]")
     zero_mu = np.zeros(problem.y_shape)
     closed_form = resolved_bw_closed_form(config)
     if _uses_fast_path(problem):

@@ -67,7 +67,7 @@ are routed to the bisection below. The counters ``p2_bw_bound_rows``,
 :mod:`repro.obs`) account for every bound row:
 ``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
 
-Residual bisection and the threshold replay
+Residual bisection and the threshold search
 -------------------------------------------
 The greedy fill at residual ``r`` ranks items by ``kappa_j(r)`` and pours
 bandwidth down the ranking; the bisection runs :data:`BISECTION_ITERS`
@@ -75,7 +75,7 @@ levels on ``G(r) = W - u(r) - r`` from the bracket ``[0, max(W, 1e-12)]``
 and interpolates between the fills at the final bracket's two ends. Its
 answer is defined by that fixed-depth arithmetic (``early_exit=False``
 runs it with a fresh fill at every level and both ends, ``26 + 2`` per
-row); everything below returns the same bytes with fewer fills.
+row); the threshold search below returns the same bytes with fewer fills.
 
 *Fill states.* The fill depends on ``r`` only through its *allocated
 prefix*: the items in sorted order up to and including the one whose
@@ -98,27 +98,56 @@ other item is ineligible. Given (1), (2) is one count over the row.
 alloc_j``, a convex function of ``r`` whose slope is ``2 s u(r)``, so
 ``u`` never falls as ``r`` grows, ``fl(W - u(r))`` never rises, and every
 level's decision is ``mid_k < theta`` for one threshold ``theta`` per row.
-Each evaluated residual bounds ``theta`` from both sides: a point that
-goes right at its own fixed point ``q = fl(W - u)`` caps ``theta`` at
-``q`` (every residual at or above ``q`` fills at least as much), one that
-goes left floors it at ``q``; levels outside the bounds are decided with
-no fill. A fresh state ``S`` whose fixed point is the threshold —
-``theta = q_S``, the root inside ``S``'s interval — *locates* the row:
-the remaining levels replay as scalar compares in the loop's own ``0.5 *
-(r_lo + r_hi)`` arithmetic, and if ``S`` is valid at both ends of the
-bracket that replay leaves, the row is answered from ``S``. That check
-is also the proof: every level's midpoint lies at or below the final low
-end, where ``S`` goes right, or at or above the final high end, where
-``S`` goes left, so monotonicity fixes every level as the replay did,
-and both closing fills are ``S``. After the first level,
-:data:`PROBES` regula-falsi probes (a fixed-point step while only one
-side is known) look for that state before the levels go on; every
-probe's decision and bounds count like a level's. Rows the search cannot
-locate — a root at a jump between two states, where no state holds its
-own fixed point — go on level by level, matching the states stored for
-each side of the bracket and filling fresh only when neither fits, and
-close with the existing interpolation. ``p2_bisection_fills`` counts
-the fresh fills, ``p2_bisection_replayed`` the located rows.
+
+*Allocation classes.* What a fill allocates in real arithmetic is its
+class: for a tight fill, the marginal item ``l`` (the prefix's last) and
+the full items before it; for a non-tight fill, the eligible set.
+Reordering the full items changes the state and the last bits of ``u``,
+not the class, and ``u`` is constant while the class holds, on an
+interval ``[s, e)`` of residuals. The keys ``slope_j - 2 s r omega_j`` of
+items ``j`` and ``l`` cross at ``r_jl = (slope_j - slope_l) / (2 s
+(omega_j - omega_l))``: ``e`` is the least crossing of a prefix item
+lighter than ``l`` or another cap-positive item heavier than it, ``s``
+the largest crossing of the opposite two sets or ``l``'s eligibility
+threshold ``slope_l / (2 s omega_l)``. A non-tight class is bounded alike
+with a weightless, slopeless ``l``: by the eligibility thresholds.
+
+*The search.* Each round fills the live rows once at ``r``; let ``q =
+fl(W - u)``. A fill that goes right (``q > r``) with ``q < e``, or left
+with ``q >= s``, holds the root inside its class: ``theta = q``.
+Otherwise it bounds ``theta`` from its side, at or above a right-going
+class's ``e`` or at or below a left-going class's ``s``, and becomes that
+side's nearest fill. The bracket ``[e, s]``, clipped to the levels' range
+``[0, max(W, 1e-12)]``, closes when the right side's ``e`` reaches the
+left side's ``s``: the two classes are adjacent, the root sits at the
+jump between them, and ``theta`` is the bracket's low end. The next ``r``
+is a secant step between ``(e, q_a - e)`` and ``(s, q_b - s)``, a
+fixed-point step ``r = q`` while one side is unknown, or the bracket's
+midpoint when the step leaves it. The
+first ``r`` lies halfway between ``W - bw max(omega)`` and ``W - bw
+min(omega)``, the real-arithmetic bounds of a tight fill's fixed point.
+
+*The certificate.* The levels are replayed under ``theta`` as scalar
+compares in the loop's own ``0.5 * (r_lo + r_hi)`` arithmetic, leaving a
+final bracket ``[lo, hi]``. The closing fill at ``lo`` is the nearest
+right-going state where it is valid there, a fresh fill otherwise; at
+``hi``, the nearest left-going one (an in-class row's one state stands on
+both sides). The row is accepted only if ``fl(W - u_lo) > lo`` and
+``fl(W - u_hi) <= hi``, and closes with the bisection's interpolation.
+That suffices: ``lo`` is the largest replayed right-going midpoint and
+``hi`` the smallest left-going one, so by monotonicity every midpoint the
+replay sent right goes right, and every one it sent left goes left. The
+replay took the fixed-depth bisection's every decision, and the
+bisection's closing fills are exactly these two. The class ends only
+steer the search; no decision rests on them, so their rounding can cost
+fills but never bits.
+
+*The fallback.* Rows inside the weight guard below, rows the certificate
+rejects and rows still open after :data:`BISECTION_ITERS` rounds run the
+fixed-depth bisection. ``p2_bisection_fills`` counts the fresh fills,
+``p2_bisection_replayed`` the rows the search answers and
+``p2_bisection_fixed_depth`` the rows the fixed-depth bisection answers;
+the two add up to ``p2_bisection_fallbacks``.
 
 *Float caveats and the weight guard.* ``kappa`` is evaluated as ``slope
 - fl(fl(2 s r) omega)``, monotone in ``r`` per item, so eligibility never
@@ -130,14 +159,12 @@ tie-break then swaps them back and forth, and a row's fill can move
 between two states inside a bracket whose ends agree. Rows holding two
 distinct cap-positive weights within :data:`WEIGHT_GUARD` (``1e-12``,
 ``2^10`` above that gap and far below any class-weight gap a model
-draws) therefore take no bounds and no replay: they evaluate every level,
-reusing a stored state only where it matches exactly. Outside the guard,
-two items with different slopes swap order noisily only near their
-crossing, within about ``4 eps / gap`` relative (``eps`` the unit
-roundoff, ``gap`` their relative weight gap); a replayed decision could
-differ from the fixed-depth one only if a level landed in that window
-while the swap moved the row's root. The closing ends are always checked
-exactly.
+draws) therefore take the fixed-depth bisection. Outside the guard, two
+items with different slopes swap order noisily only near their crossing,
+within about ``4 eps / gap`` relative (``eps`` the unit roundoff,
+``gap`` their relative weight gap); a replayed decision could differ from
+the fixed-depth one only if a level landed in that window while the swap
+moved the row's root. The closing ends are always checked exactly.
 
 ``closed_form=False`` (or ``REPRO_BW_CLOSED_FORM=0``) demotes every bound
 row to the bisection for cost-drift A/B runs. State arrays are allocated
@@ -170,12 +197,8 @@ _TINY = np.finfo(np.float64).smallest_subnormal
 BISECTION_ITERS = 26
 
 #: Relative gap at or below which two distinct weights count as tied, so the
-#: row takes no threshold replay (module docstring, "Float caveats").
+#: row takes the fixed-depth bisection (module docstring, "Float caveats").
 WEIGHT_GUARD = 1e-12
-
-#: Regula-falsi probes the bisection spends, after its first level, on
-#: locating each row's threshold before it goes on level by level.
-PROBES = 2
 
 #: Row-chunk size for the active-row stages, in matrix elements. Chunks of
 #: ``max(1, _CHUNK_ELEMS // J)`` rows keep per-stage temporaries at a few
@@ -218,9 +241,8 @@ def waterfill_batch(
         per group, not per row. ``None`` treats the whole batch as one
         group.
     early_exit:
-        Enable state reuse and the threshold replay in the bisection
-        (bitwise-invisible; see module docstring). ``False`` runs the
-        fixed-depth reference.
+        Answer bisected rows by the threshold search (bitwise-invisible;
+        see module docstring). ``False`` runs the fixed-depth reference.
     closed_form:
         Solve bandwidth-bound rows by the exact parametric path (see
         module docstring). ``None`` resolves via
@@ -340,55 +362,30 @@ def waterfill_batch(
         sl_a: FloatArray,
         W_a: FloatArray,
         bw_a: FloatArray,
-    ) -> tuple[int, int]:
+    ) -> tuple[int, int, int]:
         """Residual bisection over one subset of bound rows.
 
         State arrays live at the subset's compressed column width (columns
         with positive cap in some row) — dropping the rest is
         bitwise-invisible exactly as in the kernel-level compression —
         so the reference path never allocates O(rows x J) state. Returns
-        the number of fresh greedy fills it ran and the number of rows
-        whose threshold it located and replayed.
+        the number of fresh greedy fills it ran, the number of rows the
+        threshold search answered and the number the fixed-depth
+        bisection answered.
         """
+        A = rows.size
         kc = np.flatnonzero((cp_a > 0).any(axis=0))
         Jc = kc.size
         if Jc == 0:
-            return 0, 0  # nothing routable; alloc and u stay zero
+            return 0, 0, A  # nothing routable: the fixed-depth answer is zero
         om_b = np.ascontiguousarray(om_a[:, kc])
         cp_b = np.ascontiguousarray(cp_a[:, kc])
         # +inf slopes keep cap-0 items ineligible at every residual.
         sl_b = np.where(cp_b > 0, sl_a[:, kc], _INF)
         colc = np.arange(Jc)
-        A = rows.size
         fills = 0
         narrow_u = bool(np.isfinite(om_b).all() and not np.signbit(om_b).any())
-
-        r_lo = np.zeros(A)
-        r_hi = np.maximum(W_a, 1e-12)
-        # Located threshold bounds: a midpoint below ``t_lo`` goes right
-        # and one at or above ``t_hi`` goes left, with no fill. Rows inside
-        # the weight guard keep them open and evaluate every midpoint.
-        t_lo = np.full(A, -_INF)
-        t_hi = np.full(A, _INF)
-        bounded = ~_near_tied_weights(om_b, cp_b) if early_exit else np.zeros(A, bool)
-        # Rows answered from a located threshold, written out already.
-        done = np.zeros(A, dtype=bool)
-        # Stored fill state per bracket side: sort order, allocated-prefix
-        # length, tight flag, u, a "present" flag, and a "valid at the
-        # side's current residual" flag.
-        ol = np.zeros((A, Jc), dtype=np.intp)
-        oh = np.zeros((A, Jc), dtype=np.intp)
-        ul = np.zeros(A)
-        uh = np.zeros(A)
-        pl = np.zeros(A, dtype=np.intp)
-        ph = np.zeros(A, dtype=np.intp)
-        tl = np.zeros(A, dtype=bool)
-        th = np.zeros(A, dtype=bool)
-        hl = np.zeros(A, dtype=bool)
-        hh = np.zeros(A, dtype=bool)
-        vl = np.zeros(A, dtype=bool)
-        vh = np.zeros(A, dtype=bool)
-        sides = ((ol, pl, tl, ul, hl), (oh, ph, th, uh, hh))
+        r_top = np.maximum(W_a, 1e-12)
 
         def keys_at(sub: IntArray, r: FloatArray) -> FloatArray:
             """Keys ``slope - 2 s r omega`` of rows ``sub`` at residuals
@@ -407,6 +404,8 @@ def waterfill_batch(
             Returns the state (sort order, allocated-prefix length, tight
             flag) and ``u``.
             """
+            nonlocal fills
+            fills += sub.size
             # Ineligible items sort last, in column order.
             key = np.where(key < 0, key, _INF)
             order = np.argsort(key, axis=1, kind="stable")
@@ -490,13 +489,6 @@ def waterfill_batch(
                 ok[tie] = before.sum(axis=1) == pp[tie]
             return ok
 
-        def stored(
-            order: IntArray, p: IntArray, tight: np.ndarray, srow: IntArray
-        ) -> tuple[IntArray, IntArray, np.ndarray]:
-            """Stored states of rows ``srow``, prefix-width order included."""
-            pp = p[srow]
-            return order[srow, : max(int(pp.max()), 1)], pp, tight[srow]
-
         def state_fill(sub: IntArray, order: IntArray, p: IntArray) -> FloatArray:
             """Replay the fill states of rows ``sub``; returns their
             compressed allocation.
@@ -522,7 +514,7 @@ def waterfill_batch(
             ``theta`` goes right: the bisection's own arithmetic, replayed
             in Python floats (IEEE doubles like the arrays' elements), which
             is cheaper than ``n`` rounds of array calls for the few rows a
-            level usually hands over."""
+            call usually holds."""
             ends = []
             for a, b, t in zip(lo.tolist(), hi.tolist(), theta.tolist()):
                 for _ in range(n):
@@ -535,215 +527,187 @@ def waterfill_batch(
             out = np.array(ends).reshape(-1, 2)
             return out[:, 0], out[:, 1]
 
-        def evaluate(
-            sub: IntArray, r: FloatArray, at_mid: bool, remaining: int
-        ) -> tuple[np.ndarray, FloatArray]:
-            """Decide ``G(r) > 0`` for rows ``sub``, reusing a stored state
-            when one provably fills like ``r`` and filling fresh otherwise;
-            returns the decisions and the fixed points ``q = fl(W - u(r))``.
+        def class_ends(
+            sub: IntArray,
+            key: FloatArray,
+            order: IntArray,
+            p: IntArray,
+            tight: np.ndarray,
+        ) -> tuple[FloatArray, FloatArray]:
+            """Real-arithmetic ends ``[s, e)`` of the allocation classes of
+            the fills of rows ``sub`` (module docstring, "Allocation
+            classes"). A non-tight class is bounded like a tight one whose
+            marginal item has slope and weight zero: its crossings are the
+            eligibility thresholds."""
+            rix = np.arange(sub.size)
+            om, sl = (om_b, sl_b) if sub.size == A else (om_b[sub], sl_b[sub])
+            key = np.where(key < 0, key, _INF)
+            ell = np.where(tight, order[rix, np.maximum(p - 1, 0)], -1)
+            om_l = np.where(tight, om[rix, ell], 0.0)
+            sl_l = np.where(tight, sl[rix, ell], 0.0)
+            k_l = np.where(tight, key[rix, ell], 0.0)[:, None]
+            ahead = (key < k_l) | ((key == k_l) & (colc < ell[:, None]))
+            behind = ~ahead & (sl < _INF) & (colc != ell[:, None])
+            dw = om - om_l[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                cross = (sl - sl_l[:, None]) / (two_s * dw)
+                t_l = np.where(tight, sl_l / (two_s * om_l), -_INF)
+            rise, fall = dw > 0, dw < 0
+            e = np.where((ahead & fall) | (behind & rise), cross, _INF).min(axis=1)
+            s = np.where((ahead & rise) | (behind & fall), cross, -_INF).max(axis=1)
+            return np.fmax(s, t_l), e
 
-            The state used is stored on the side the decision points to;
-            ``at_mid`` says ``r`` becomes that side's residual, so the state
-            is known valid there. Outside the weight guard the decision
-            also tightens the threshold bounds, and a fresh state answers
-            its row outright when it is valid at both ends of the bracket
-            that ``remaining`` more levels leave with its own fixed point as
-            the threshold.
-            """
-            nonlocal fills
+        def end_fills(
+            sub: IntArray, r: FloatArray, side: tuple, known: np.ndarray
+        ) -> tuple[IntArray, IntArray, FloatArray]:
+            """Fill states of rows ``sub`` at residuals ``r``: the stored
+            ``side`` state where :func:`state_match` proves it valid there,
+            a fresh fill elsewhere."""
+            order, p, tight, u = (arr[sub] for arr in side)
             key = keys_at(sub, r)
-            u_r = np.empty(sub.size)
-            used = np.full(sub.size, 2, dtype=np.int8)  # 0 = lo, 1 = hi, 2 = fresh
-            # A probe point is chosen away from the stored states, which
-            # almost never fit there.
-            if early_exit and at_mid:
-                for code, (order, p, tight, u_s, have) in enumerate(sides):
-                    s = np.flatnonzero((used == 2) & have[sub])
-                    if s.size:
-                        s = s[state_match(key[s], *stored(order, p, tight, sub[s]))]
-                        u_r[s] = u_s[sub[s]]
-                        used[s] = code
-            fresh = np.flatnonzero(used == 2)
-            if fresh.size:
-                fills += fresh.size
-                order_f, p_f, t_f, u_r[fresh] = fill(key[fresh], sub[fresh])
-            q = W_a[sub] - u_r
-            go = q > r  # G(r) > 0 -> the root is to the right
-            if not early_exit:
-                return go, q
-            # The side the decision points to inherits the state used at r.
-            for code, sel in ((1, go), (0, ~go)):
-                idx = sub[(used == code) & sel]
-                if idx.size:
-                    for s_arr, d_arr in zip(sides[code], sides[1 - code]):
-                        d_arr[idx] = s_arr[idx]
-            for sel, side in ((go[fresh], sides[0]), (~go[fresh], sides[1])):
-                tgt = sub[fresh[sel]]
-                if tgt.size:
-                    order, p, tight, u_s, have = side
-                    order[tgt] = order_f[sel]
-                    p[tgt] = p_f[sel]
-                    tight[tgt] = t_f[sel]
-                    u_s[tgt] = u_r[fresh[sel]]
-                    have[tgt] = True
-            if at_mid:
-                vl[sub[go]] = True
-                vh[sub[~go]] = True
-            else:
-                vl[sub[go]] = False
-                vh[sub[~go]] = False
-            # u never falls as r grows, so the state's own fixed point
-            # q = fl(W - u) bounds the root from the far side: every
-            # residual at or above a right-going point's q fills at least
-            # as much and goes left; every residual below a left-going
-            # point's q goes right.
-            b = bounded[sub]
-            idx = sub[b & go]
-            t_lo[idx] = np.maximum(t_lo[idx], np.nextafter(r[b & go], _INF))
-            t_hi[idx] = np.minimum(t_hi[idx], q[b & go])
-            idx = sub[b & ~go]
-            t_hi[idx] = np.minimum(t_hi[idx], r[b & ~go])
-            t_lo[idx] = np.maximum(t_lo[idx], q[b & ~go])
-            # A fresh state S answers its row when it is valid at both ends
-            # of the bracket the remaining levels leave under theta = q:
-            # every level's midpoint lies at or below the final low end,
-            # where S goes right, or at or above the final high end, where
-            # S goes left, so monotonicity fixes every level as the replay
-            # did, and both closing fills are S.
-            fb = b[fresh]
-            c = fresh[fb]
-            if c.size:
-                cs = sub[c]
-                lo_e = np.where(go[c], r[c], r_lo[cs]) if at_mid else r_lo[cs]
-                hi_e = np.where(go[c], r_hi[cs], r[c]) if at_mid else r_hi[cs]
-                # When q lies past an end of the bracket, that end is final,
-                # and a different state known valid there rules S out.
-                pf, uf = p_f[fb], u_r[c]
-                ruled_out = (
-                    (q[c] >= hi_e) & vh[cs] & ((ph[cs] != pf) | (uh[cs] != uf))
-                ) | ((q[c] <= lo_e) & vl[cs] & ((pl[cs] != pf) | (ul[cs] != uf)))
-                fb[fb] = ~ruled_out
-                c, lo_e, hi_e = c[~ruled_out], lo_e[~ruled_out], hi_e[~ruled_out]
-            if c.size:
-                lo_e, hi_e = final_ends(lo_e, hi_e, q[c], remaining)
-                o_c = order_f[fb][:, : max(int(p_f[fb].max()), 1)]
-                p_c, t_c = p_f[fb], t_f[fb]
-                fin = state_match(keys_at(sub[c], lo_e), o_c, p_c, t_c).nonzero()[0]
-                if fin.size:
-                    fin = fin[
-                        state_match(
-                            keys_at(sub[c[fin]], hi_e[fin]), o_c[fin], p_c[fin], t_c[fin]
-                        )
-                    ]
-                if fin.size:
-                    cf = sub[c[fin]]
-                    t_lo[cf] = t_hi[cf] = q[c[fin]]
-                    done[cf] = True
-                    alloc_out[rows[cf, None], kc[None, :]] = state_fill(
-                        cf, o_c[fin], p_c[fin]
-                    )
-                    # As the close interpolates between equal fills.
-                    u_out[rows[cf]] = u_r[c[fin]] + 0.0
-            return go, q
+            ok = known[sub]
+            k = np.flatnonzero(ok)
+            if k.size:
+                w = max(int(p[k].max()), 1)
+                ok[k] = state_match(key[k], order[k, :w], p[k], tight[k])
+            miss = np.flatnonzero(~ok)
+            if miss.size:
+                order[miss], p[miss], _, u[miss] = fill(key[miss], sub[miss])
+            return order, p, u
 
-        for level in range(BISECTION_ITERS):
-            mid = 0.5 * (r_lo + r_hi)
-            too_small = mid < t_lo  # known to go right
-            left = mid >= t_hi  # known to go left
-            und = np.flatnonzero(~too_small & ~left)
-            # A side that moves without an evaluation loses its validity.
-            vl &= ~too_small
-            vh &= ~left
-            if und.size:
-                too_small[und], q = evaluate(
-                    und, mid[und], True, BISECTION_ITERS - level - 1
-                )
-            r_lo = np.where(too_small, mid, r_lo)
-            r_hi = np.where(too_small, r_hi, mid)
-            if level == 0 and early_exit:
-                # Regula-falsi probes between the nearest right-going (a)
-                # and left-going (b) points evaluated so far, or a
-                # fixed-point step from the one side known, kept inside the
-                # known bracket.
-                a_r, a_q = np.full(A, -_INF), np.full(A, -_INF)
-                b_r, b_q = np.full(A, _INF), np.full(A, _INF)
-                if und.size:
-                    go = too_small[und]
-                    a_r[und[go]], a_q[und[go]] = mid[und[go]], q[go]
-                    b_r[und[~go]], b_q[und[~go]] = mid[und[~go]], q[~go]
-                for _ in range(PROBES):
-                    sub = np.flatnonzero(bounded & ~done)
-                    if sub.size == 0:
-                        break
-                    ar, aq, br, bq = a_r[sub], a_q[sub], b_r[sub], b_q[sub]
-                    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                        ga, gb = aq - ar, bq - br
-                        r = np.where(
-                            np.isfinite(ar) & np.isfinite(br),
-                            ar + ga * (br - ar) / (ga - gb),
-                            np.where(np.isfinite(ar), aq, bq),
-                        )
-                    s_lo = np.maximum(t_lo[sub], r_lo[sub])
-                    s_hi = np.minimum(t_hi[sub], r_hi[sub])
-                    r = np.where((r >= s_lo) & (r <= s_hi), r, 0.5 * (s_lo + s_hi))
-                    ok = np.isfinite(r)
-                    sub, r, ar, br = sub[ok], r[ok], ar[ok], br[ok]
-                    if sub.size == 0:
-                        break
-                    go, q = evaluate(sub, r, False, BISECTION_ITERS - 1)
-                    to_a, to_b = go & (r > ar), ~go & (r < br)
-                    a_r[sub[to_a]], a_q[sub[to_a]] = r[to_a], q[to_a]
-                    b_r[sub[to_b]], b_q[sub[to_b]] = r[to_b], q[to_b]
-
-        # Close the other rows on the final bracket as the fixed-depth
-        # bisection does: interpolate between the fills at both ends. A
-        # stored state that is valid at an end stands in for that end's fill.
-        rest = np.flatnonzero(~done)
-        if rest.size:
-            ends = []
-            for r_end, own, other, valid in (
-                (r_lo, sides[0], sides[1], vl),
-                (r_hi, sides[1], sides[0], vh),
-            ):
-                order_e, p_e, u_e = own[0][rest], own[1][rest], own[3][rest]
-                need = np.flatnonzero(~valid[rest])
-                if need.size:
-                    nr = rest[need]
-                    key = keys_at(nr, r_end[nr])
-                    found = np.zeros(need.size, dtype=bool)
-                    for order, p, tight, u_s, have in (own, other):
-                        s = np.flatnonzero(~found & have[nr])
-                        if s.size:
-                            s = s[state_match(key[s], *stored(order, p, tight, nr[s]))]
-                            order_e[need[s]] = order[nr[s]]
-                            p_e[need[s]] = p[nr[s]]
-                            u_e[need[s]] = u_s[nr[s]]
-                            found[s] = True
-                    miss = np.flatnonzero(~found)
-                    if miss.size:
-                        fills += miss.size
-                        order_e[need[miss]], p_e[need[miss]], _, u_e[need[miss]] = fill(
-                            key[miss], nr[miss]
-                        )
-                ends.append((state_fill(rest, order_e, p_e), u_e))
-            (alloc_lo, u_lo), (alloc_hi, u_hi) = ends
-            u_target = W_a[rest] - 0.5 * (r_lo[rest] + r_hi[rest])
+        def close(
+            sub: IntArray,
+            lo: FloatArray,
+            hi: FloatArray,
+            ends: tuple[tuple[IntArray, IntArray, FloatArray], ...],
+        ) -> None:
+            """Write out rows ``sub`` as the fixed-depth bisection closes
+            them: interpolate between the fills at the final bracket's ends."""
+            (o_lo, p_lo, u_lo), (o_hi, p_hi, u_hi) = ends
+            alloc_lo = state_fill(sub, o_lo, p_lo)
+            alloc_hi = state_fill(sub, o_hi, p_hi)
+            u_target = W_a[sub] - 0.5 * (lo + hi)
             gap = u_hi - u_lo
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = np.where(
                     gap > 1e-15, np.clip((u_target - u_lo) / gap, 0.0, 1.0), 0.0
                 )
-            alloc_out[rows[rest, None], kc[None, :]] = alloc_lo + t[:, None] * (
+            alloc_out[rows[sub, None], kc[None, :]] = alloc_lo + t[:, None] * (
                 alloc_hi - alloc_lo
             )
-            u_out[rows[rest]] = u_lo + t * gap
-        return fills, int(np.count_nonzero(done))
+            u_out[rows[sub]] = u_lo + t * gap
 
-    def process(rows: IntArray) -> tuple[int, int, int, int, int]:
+        def fixed_depth(sub: IntArray) -> None:
+            """The reference: a fresh fill at every level and at both ends."""
+            lo, hi = np.zeros(sub.size), r_top[sub]
+            for _ in range(BISECTION_ITERS):
+                mid = 0.5 * (lo + hi)
+                go = W_a[sub] - fill(keys_at(sub, mid), sub)[3] > mid
+                lo = np.where(go, mid, lo)
+                hi = np.where(go, hi, mid)
+            ends = []
+            for r_end in (lo, hi):
+                order, p, _, u = fill(keys_at(sub, r_end), sub)
+                ends.append((order, p, u))
+            close(sub, lo, hi, tuple(ends))
+
+        if not early_exit:
+            fixed_depth(np.arange(A))
+            return fills, 0, A
+
+        # Threshold search. Side a holds the nearest right-going fill and
+        # side b the nearest left-going one: their states (order, prefix
+        # length, tight flag, u), their fixed points q = fl(W - u) and
+        # their class ends e_a and s_b.
+        side_a, side_b = (
+            (np.zeros((A, Jc), np.intp), np.zeros(A, np.intp), np.zeros(A, bool))
+            + (np.zeros(A),)
+            for _ in range(2)
+        )
+        has_a, has_b = np.zeros(A, bool), np.zeros(A, bool)
+        e_a, q_a = np.full(A, -_INF), np.zeros(A)
+        s_b, q_b = np.full(A, _INF), np.zeros(A)
+        theta = np.full(A, np.nan)
+        live = np.flatnonzero(~_near_tied_weights(om_b, cp_b))
+        # Start between the real-arithmetic bounds W - bw max(omega) and
+        # W - bw min(omega) of a tight fill's fixed point; the level-0
+        # midpoint where that leaves the levels' range.
+        with np.errstate(invalid="ignore"):
+            pos, om = cp_b[live] > 0, om_b[live]
+            w_hi = np.where(pos, om, -_INF).max(axis=1)
+            w_lo = np.where(pos, om, _INF).min(axis=1)
+            r = W_a[live] - 0.5 * bw_a[live] * (w_hi + w_lo)
+        r = np.where((r > 0) & (r < r_top[live]), r, 0.5 * r_top[live])
+        for _ in range(BISECTION_ITERS):
+            if live.size == 0:
+                break
+            key = keys_at(live, r)
+            state = fill(key, live)
+            q = W_a[live] - state[3]
+            go = q > r
+            s, e = class_ends(live, key, *state[:3])
+            # The root lies inside the fill's class: theta = q, and the
+            # state stands on both sides.
+            inside = np.where(go, q < e, q >= s)
+            for side, has, sel in (
+                (side_a, has_a, go | inside),
+                (side_b, has_b, ~go | inside),
+            ):
+                k = np.flatnonzero(sel)
+                for arr, val in zip(side, state):
+                    arr[live[k]] = val[k]
+                has[live[k]] = True
+            ka, kb = live[go], live[~go]
+            e_a[ka], q_a[ka] = e[go], q[go]
+            s_b[kb], q_b[kb] = s[~go], q[~go]
+            # theta is at or above e_a and at or below s_b; a bracket that
+            # has closed (two adjacent classes, or theta outside the
+            # levels' range) fixes every level.
+            lo = np.maximum(e_a[live], 0.0)
+            hi = np.minimum(s_b[live], r_top[live])
+            theta[live] = np.where(inside, q, lo)
+            unsettled = ~inside & (lo < hi)
+            # Next residual: a secant step between the two classes' ends,
+            # or a fixed-point step while one side is unknown; the
+            # bracket's midpoint when the step leaves it.
+            ga = q_a[live] - e_a[live]
+            gb = q_b[live] - s_b[live]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = np.where(
+                    has_a[live] & has_b[live],
+                    e_a[live] + ga * (s_b[live] - e_a[live]) / (ga - gb),
+                    np.where(has_a[live], q_a[live], q_b[live]),
+                )
+            step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            live, r = live[unsettled], step[unsettled]
+        theta[live] = np.nan
+
+        # Certificate: replay the levels under theta, then check the
+        # decisions at the two final ends with their closing fills.
+        found = np.flatnonzero(~np.isnan(theta))
+        fallback = np.ones(A, dtype=bool)
+        if found.size:
+            lo, hi = final_ends(
+                np.zeros(found.size), r_top[found], theta[found], BISECTION_ITERS
+            )
+            ends = (
+                end_fills(found, lo, side_a, has_a),
+                end_fills(found, hi, side_b, has_b),
+            )
+            q_lo, q_hi = W_a[found] - ends[0][2], W_a[found] - ends[1][2]
+            k = np.flatnonzero((q_lo > lo) & (q_hi <= hi))
+            close(found[k], lo[k], hi[k], tuple((o[k], n[k], u[k]) for o, n, u in ends))
+            fallback[found[k]] = False
+        rest = np.flatnonzero(fallback)
+        if rest.size:
+            fixed_depth(rest)
+        return fills, A - rest.size, rest.size
+
+    def process(rows: IntArray) -> tuple[int, ...]:
         """Solve one chunk of active rows.
 
-        Returns ``(bound, closed, fallback, fills, replayed)`` counts for
-        the chunk.
+        Returns ``(bound, closed, fallback, fills, replayed, fixed_depth)``
+        counts for the chunk.
         """
         om_a = omega[rows]
         cp_a = caps[rows]
@@ -819,7 +783,7 @@ def waterfill_batch(
         brows = rows[keep]
         nb = brows.size
         if nb == 0:
-            return 0, 0, 0, 0, 0
+            return 0, 0, 0, 0, 0, 0
         # Release the slack-scan temporaries before the bound stage: the
         # chunk's peak live set — not any O(R x J) allocation — is what
         # the kernel's memory budget consists of now.
@@ -844,12 +808,12 @@ def waterfill_batch(
             un = ~solved
             brows, om_b, cp_b = brows[un], om_b[un], cp_b[un]
             sl_b, W_b, bw_b = sl_b[un], W_b[un], bw_b[un]
-        n_fills, n_replayed = (
-            bisect_rows(brows, om_b, cp_b, sl_b, W_b, bw_b) if brows.size else (0, 0)
+        counts = (
+            bisect_rows(brows, om_b, cp_b, sl_b, W_b, bw_b) if brows.size else (0, 0, 0)
         )
-        return nb, n_cf, nb - n_cf, n_fills, n_replayed
+        return (nb, n_cf, nb - n_cf, *counts)
 
-    totals = np.zeros(5, dtype=np.int64)
+    totals = np.zeros(6, dtype=np.int64)
     for start in range(0, act.size, chunk):
         totals += process(act[start : start + chunk])
     for name, n in zip(
@@ -859,6 +823,7 @@ def waterfill_batch(
             "p2_bisection_fallbacks",
             "p2_bisection_fills",
             "p2_bisection_replayed",
+            "p2_bisection_fixed_depth",
         ),
         totals,
     ):
@@ -871,7 +836,7 @@ def _near_tied_weights(om: FloatArray, cp: FloatArray) -> np.ndarray:
     """Rows holding two distinct cap-positive weights within
     :data:`WEIGHT_GUARD` of each other, relative (module docstring, "Float
     caveats"): their keys can swap order back and forth as the residual
-    moves, so the bisection evaluates every level of such a row."""
+    moves, so such a row takes the fixed-depth bisection."""
     w = np.sort(np.where(cp > 0, om, np.nan), axis=1)  # NaN sorts last
     lo, hi = w[:, :-1], w[:, 1:]
     with np.errstate(invalid="ignore"):

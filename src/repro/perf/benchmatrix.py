@@ -39,6 +39,7 @@ _SOLVE_COUNTERS = (
     "p2_bisection_fallbacks",
     "p2_bisection_fills",
     "p2_bisection_replayed",
+    "p2_bisection_fixed_depth",
 )
 
 
@@ -133,18 +134,21 @@ def run_bench_matrix(
                 print(f"  {key:<24} {elapsed:8.2f}s")
     record["costs_identical"] = costs_identical
     counters = record["solve_counters"]
-    # The bound-row accounting identity must hold on the baseline cell, and
-    # the threshold replay answers only rows the bisection took.
+    # The bound-row accounting identities must hold on the baseline cell:
+    # every bound row is closed-form or bisected, and every bisected row is
+    # answered by the threshold search or the fixed-depth bisection.
     if (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         != counters["p2_bw_bound_rows"]
-        or counters["p2_bisection_replayed"] > counters["p2_bisection_fallbacks"]
+        or counters["p2_bisection_replayed"] + counters["p2_bisection_fixed_depth"]
+        != counters["p2_bisection_fallbacks"]
     ):
         raise AssertionError(
             "P2 bound-row accounting broken: "
             f"{counters['p2_bw_closed_form']} closed + "
             f"{counters['p2_bisection_fallbacks']} fallbacks "
-            f"({counters['p2_bisection_replayed']} replayed) vs "
+            f"({counters['p2_bisection_replayed']} replayed, "
+            f"{counters['p2_bisection_fixed_depth']} fixed-depth) vs "
             f"{counters['p2_bw_bound_rows']} bound"
         )
     return record

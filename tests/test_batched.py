@@ -44,7 +44,7 @@ from repro.core.rounding import optimal_rounding_threshold, round_caching
 from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
-from repro.optim.waterfill import _solve_bw_bound, waterfill_batch
+from repro.optim.waterfill import _near_tied_weights, _solve_bw_bound, waterfill_batch
 from repro.perf.solvecache import SolveCache
 
 from p1_oracle import bellman_converged
@@ -216,6 +216,43 @@ def _class_rows(rng, R, G, K, bw_mode, weights="grid"):
     return lam, caps, omega, mu, W, bw
 
 
+def _continuous_rows(rng, R, K, G=30):
+    """Rows shaped like the paper's ``P2`` rows: G MU classes of K items
+    with U[0, 1] class weights, caps equal to continuous demands and a
+    bandwidth of 5-60% of each row's caps. Algorithm 1's multipliers leave
+    many items nearly indifferent at the optimum, so the eligibility
+    thresholds ``slope / (2 omega)`` are drawn within 20% of one residual
+    and a tenth of the slopes are zero. About a quarter of the bisected
+    roots then sit at a jump between two allocation classes."""
+    J = G * K
+    omega = np.repeat(rng.uniform(0.0, 1.0, (R, G)), K, axis=1)
+    lam = rng.uniform(0.0, 1.0, (R, J))
+    W = (lam * omega).sum(axis=1)
+    thr = (W * rng.uniform(0.1, 0.9, R))[:, None] * rng.uniform(0.8, 1.2, (R, J))
+    mu = 2.0 * thr * omega * lam * (rng.random((R, J)) > 0.1)
+    bw = lam.sum(axis=1) * rng.uniform(0.05, 0.6, R)
+    return lam, lam.copy(), omega, mu, W, bw
+
+
+def _fuzz_stack(family, rng):
+    """One stack of the search fuzz's four row families."""
+    if family == 0:
+        return _random_stack(rng, int(rng.integers(1, 7)), int(rng.integers(1, 10)))
+    if family == 1:
+        return _class_rows(
+            rng,
+            int(rng.integers(1, 7)),
+            int(rng.integers(1, 31)),
+            int(rng.integers(1, 11)),
+            ("zero", "fits", "exact", "random")[int(rng.integers(4))],
+            ("grid", "ulp", "near")[int(rng.integers(3))],
+        )
+    if family == 2:
+        G = int(rng.integers(3, 7))
+        return _bound_stack(rng, int(rng.integers(2, 20)), int(rng.integers(3, 30)), G)
+    return _continuous_rows(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+
+
 class TestWaterfillKernel:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
@@ -252,11 +289,50 @@ class TestWaterfillKernel:
         assert full[0].tobytes() == fast[0].tobytes()
         assert full[1].tobytes() == fast[1].tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+    def test_search_bitwise_on_continuous_class_rows(self, seed, R, K):
+        """The threshold search returns the fixed-depth bisection's bits on
+        rows shaped like the paper's, where many roots sit at a jump
+        between two allocation classes."""
+        rng = np.random.default_rng(seed)
+        args = _continuous_rows(rng, R, K) + (1.0,)
+        full = waterfill_batch(*args, early_exit=False, closed_form=False)
+        fast = waterfill_batch(*args, closed_form=False)
+        assert full[0].tobytes() == fast[0].tobytes()
+        assert full[1].tobytes() == fast[1].tobytes()
+
+    def test_search_fuzz_four_families(self):
+        """A fixed-seed fuzz over random stacks, class rows (grid, ulp and
+        near weights), G >= 3 bound stacks and continuous 30-class rows:
+        every stack returns the fixed-depth bisection's bits, and only rows
+        inside the weight guard reach the fixed-depth path."""
+
+        def run(stack, **kw):
+            rec = Recorder()
+            with record_into(rec):
+                out = waterfill_batch(*stack, 1.0, closed_form=False, **kw)
+            return out, rec.metrics
+
+        searched = 0
+        for i in range(400):
+            stack = _fuzz_stack(i % 4, np.random.default_rng(i))
+            if stack[0].shape[0] == 0:
+                continue
+            (fast, _), (full, _) = run(stack), run(stack, early_exit=False)
+            assert fast[0].tobytes() == full[0].tobytes(), i
+            assert fast[1].tobytes() == full[1].tobytes(), i
+            outside = ~_near_tied_weights(stack[2], stack[1])
+            if outside.any():
+                _, metrics = run(tuple(arr[outside] for arr in stack))
+                assert metrics.counter("p2_bisection_fixed_depth") == 0, i
+                searched += metrics.counter("p2_bisection_replayed")
+        assert searched > 1000
+
     def test_fills_per_bound_row_pinned(self):
         """Fresh greedy fills per bisected row on a fixed G = 3 stack. The
         fixed-depth bisection runs 26 midpoint fills plus 2 endpoint fills
-        per row; the threshold replay answers most rows from the state it
-        locates and needs a fraction of that."""
+        per row; the threshold search answers every row in about one."""
         rng = np.random.default_rng(0)
         lam, caps, omega, mu, W, bw = _bound_stack(rng, 200, 30, G=3)
 
@@ -272,21 +348,24 @@ class TestWaterfillKernel:
                     "p2_bisection_fills",
                     "p2_bisection_fallbacks",
                     "p2_bisection_replayed",
+                    "p2_bisection_fixed_depth",
                 )
             )
 
-        full, (fixed, rows, replayed) = fills(False)
-        assert rows > 0 and fixed == 28 * rows and replayed == 0
-        fast, (reused, rows_again, replayed) = fills(True)
+        full, (fixed, rows, replayed, depth) = fills(False)
+        assert rows > 0 and fixed == 28 * rows
+        assert replayed == 0 and depth == rows
+        fast, (searched, rows_again, replayed, depth) = fills(True)
         assert rows_again == rows
         assert full[0].tobytes() == fast[0].tobytes()
         assert full[1].tobytes() == fast[1].tobytes()
-        # 225 fills for 200 rows; the level-by-level prefix reuse needed
-        # 242 and whole-order state reuse 412.
-        assert reused == 225
-        # 199 of the 200 rows are replayed; a slide back into evaluating
-        # every level fails here.
-        assert replayed == 199
+        # 214 fills for 200 rows; the level-by-level threshold replay
+        # needed 225, the level-by-level prefix reuse 242 and whole-order
+        # state reuse 412.
+        assert searched == 214
+        # The search answers every row; a slide back into the fixed-depth
+        # bisection fails here.
+        assert replayed == rows and depth == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8))

@@ -13,7 +13,7 @@ from repro.core.load_balancing import (
     solve_y_given_x,
 )
 from repro.core.problem import JointProblem
-from repro.exceptions import DimensionMismatchError
+from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.network.costs import LinearOperatingCost
 from repro.network.topology import single_cell_network
 from repro.workload.demand import paper_demand
@@ -134,6 +134,16 @@ class TestSolveYGivenX:
         prob = _problem(rng)
         with pytest.raises(DimensionMismatchError):
             solve_y_given_x(prob, np.zeros((1, 1, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 2.0])
+    def test_x_outside_unit_interval_raises(self, rng, bad):
+        """One entry outside [0, 1] (or NaN) is a configuration error, not
+        a NaN objective, a y above 1 or a silently uncached item."""
+        prob = _problem(rng)
+        x = np.ones(prob.x_shape)
+        x[1, 0, 2] = bad
+        with pytest.raises(ConfigurationError):
+            solve_y_given_x(prob, x)
 
     def test_fista_path_given_x(self, rng):
         prob = _problem(rng, omega_hat=0.02, T=2)
