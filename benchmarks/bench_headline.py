@@ -29,11 +29,6 @@ from repro.api import (
     render_headline_table,
     sweep_to_dict,
 )
-from repro.config import (
-    resolved_batched,
-    resolved_bw_closed_form,
-    resolved_incremental,
-)
 
 PARALLEL_WORKERS = 4
 
@@ -107,23 +102,12 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
     )
     payload = {
         "beta": 50.0,
-        # ``batched`` lives at the top level on purpose: it enters the
-        # config digest, so ``repro bench diff`` tells a batched-strategy
-        # change apart from a workload change instead of gating wall-times
-        # across them.
-        "batched": resolved_batched(None),
-        # ``bw_closed_form`` is a runtime *strategy* like ``incremental``:
-        # it is excluded from the diff config digest, so a closed-form
-        # off/on pair diffs as the same workload and ``--gate-costs``
-        # checks the solutions really are bit-identical across kernels.
-        "bw_closed_form": resolved_bw_closed_form(None),
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,
         "speedup": speedup,
         "workers": workers,
         "executor": executor,
         "cpu_count": cpu_count,
-        "incremental": resolved_incremental(None),
         "solve_counters": _solve_counters(recorder),
         "costs_identical": True,
         "sweep": sweep_to_dict(sweep),
@@ -165,41 +149,33 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
     # RHC is (near-)closest to offline among the online algorithms.
     assert rhc <= min(chc, afhc) * 1.05
 
-    # With the incremental layer on, the memo must actually be exercised
-    # (the best-dual recovery and stall re-anchor guarantee hits on the
-    # online legs).
-    if payload["incremental"]:
-        assert payload["solve_counters"]["p1_memo_hits"] > 0
+    # The memo must actually be exercised (the best-dual recovery and stall
+    # re-anchor guarantee hits on the online legs).
+    counters = payload["solve_counters"]
+    assert counters["p1_memo_hits"] > 0
 
-    # With the batched core on, every memo miss must be accounted for by
-    # the relaxation pass: either answered there or counted as a fallback
-    # to the per-SBS flow. (Misses are only counted when the memo is
-    # active, so the identity needs the incremental layer too.)
-    if payload["batched"] and payload["incremental"]:
-        counters = payload["solve_counters"]
-        assert (
-            counters["p1_batched_solves"] + counters["p1_batched_fallbacks"]
-            == counters["p1_memo_misses"]
-        )
-        # Tie-aware acceptance closes the fallback storm: the paper's
-        # uniform-cost scenarios are tie-degenerate by construction, and
-        # with the canonical discipline those rows are accepted, not
-        # punted to the per-SBS flow. Gate the rate on the quick scale
-        # (the scale CI runs and the one the threshold was measured on).
-        if bench_scale.name == "quick":
-            misses = counters["p1_memo_misses"]
-            rate = counters["p1_batched_fallbacks"] / misses if misses else 0.0
-            assert rate <= 0.05, (
-                f"batched P1 fallback rate {rate:.3f} > 0.05 "
-                f"({counters['p1_batched_fallbacks']:.0f} of {misses:.0f} "
-                "misses fell back to the per-SBS flow)"
-            )
+    # Every memo miss is accounted for by the relaxation pass: either
+    # answered there or counted as a fallback to the per-SBS flow.
+    assert (
+        counters["p1_batched_solves"] + counters["p1_batched_fallbacks"]
+        == counters["p1_memo_misses"]
+    )
+    # Tie-aware acceptance closes the fallback storm: the paper's
+    # uniform-cost scenarios are tie-degenerate by construction, and with
+    # the canonical discipline those rows are accepted, not punted to the
+    # per-SBS flow.
+    misses = counters["p1_memo_misses"]
+    rate = counters["p1_batched_fallbacks"] / misses if misses else 0.0
+    assert rate <= 0.05, (
+        f"batched P1 fallback rate {rate:.3f} > 0.05 "
+        f"({counters['p1_batched_fallbacks']:.0f} of {misses:.0f} "
+        "misses fell back to the per-SBS flow)"
+    )
 
     # Every bandwidth-bound P2 row is accounted for: answered by the
     # closed-form parametric solve or counted as a bisection fallback, and
     # every bisected row by the threshold search or the fixed-depth
     # bisection.
-    counters = payload["solve_counters"]
     assert (
         counters["p2_bw_closed_form"] + counters["p2_bisection_fallbacks"]
         == counters["p2_bw_bound_rows"]

@@ -20,9 +20,10 @@ Three legs, each timed into ``BENCH_large.json``:
   ``(R, J)`` bracket-state arrays (tracemalloc, measured beyond the
   output arrays).
 - ``p1_batched``: one ``solve_caching`` over all 500 SBSs with sparse
-  hot-set prices, plus the loop path on a small subsample to measure the
-  per-SBS cost it replaces (the full loop run is the infeasible case —
-  its projected time is reported, not measured).
+  hot-set prices, plus the per-SBS flow (``_solve_single_sbs_flow``, one
+  SBS at a time) on a small subsample to measure the per-SBS cost the
+  batch replaces (the full loop run is the infeasible case — its
+  projected time is reported, not measured).
 - ``mini_alg1``: two full subgradient iterations of Algorithm 1 on the
   true demand — every stage (P1, P2, rounding, the fixed-cache oracle)
   at scale.
@@ -43,8 +44,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import RuntimeConfig
-from repro.core.caching_lp import solve_caching
+from repro.core.caching_lp import (
+    _solve_single_sbs_flow,
+    class_prices,
+    solve_caching,
+)
 from repro.core.load_balancing import solve_p2
 from repro.core.primal_dual import solve_primal_dual
 from repro.core.problem import JointProblem
@@ -70,7 +74,7 @@ CACHE_SIZE = 12
 BETA = 4.0
 BANDWIDTH = 2.0  # ~half the mean offered load: the paper's overload regime
 HOT_ITEMS = 5
-LOOP_SAMPLE = 4  # SBSs measured on the loop path (the full 500 is the
+LOOP_SAMPLE = 4  # SBSs measured on the per-SBS flow (the full 500 is the
 # infeasible case this bench exists to document)
 
 _COUNTERS = (
@@ -85,7 +89,7 @@ _P2_COUNTERS = ("p2_bw_bound_rows", "p2_bw_closed_form", "p2_bisection_fallbacks
 def _p2_row_stack(problem):
     """The exact SBS-major row stack ``solve_p2`` feeds the kernel.
 
-    Mirrors ``_solve_p2_fast_batched``'s assembly (uncapped: ``caps = lam``)
+    Mirrors ``_solve_p2_fast``'s assembly (uncapped: ``caps = lam``)
     so the A/B leg below times the kernel on the true workload rows rather
     than a synthetic stand-in. Every SBS here has the same class count, so
     the stack has no padding columns.
@@ -282,25 +286,24 @@ def test_large_scale(save_report):
         "fell back to the per-SBS flow"
     )
 
-    # The loop path on a subsample, to price what the batch replaced. The
-    # subnetwork is a prefix slice, so SBS/class ids keep their positions.
-    sub = Network(
-        network.catalog,
-        network.sbss[:LOOP_SAMPLE],
-        network.mu_classes[: LOOP_SAMPLE * CLASSES_PER_SBS],
-    )
+    # The per-SBS flow on a subsample, one SBS at a time, to price what the
+    # batch replaced.
+    prices = class_prices(network, mu_p1)
     started = time.perf_counter()
-    loop = solve_caching(
-        sub,
-        mu_p1[:, : LOOP_SAMPLE * CLASSES_PER_SBS, :],
-        x0[:LOOP_SAMPLE],
-        config=RuntimeConfig(batched=False),
-    )
+    loop_x = [
+        _solve_single_sbs_flow(
+            prices[:, n, :],
+            float(network.replacement_costs[n]),
+            int(network.cache_sizes[n]),
+            x0[n],
+        )[0]
+        for n in range(LOOP_SAMPLE)
+    ]
     loop_sample_seconds = time.perf_counter() - started
     loop_projected_seconds = loop_sample_seconds / LOOP_SAMPLE * NUM_SBS
-    # Same answer, both granularities (the subsample is exactly the first
-    # LOOP_SAMPLE coordinates of the batched solve).
-    assert np.array_equal(loop.x, p1.x[:, :LOOP_SAMPLE, :])
+    # Same answer, both granularities.
+    for n, xn in enumerate(loop_x):
+        assert np.array_equal(xn, p1.x[:, n, :])
 
     # ---- leg 3: two full subgradient iterations of Algorithm 1.
     alg1_recorder = Recorder()
@@ -326,8 +329,6 @@ def test_large_scale(save_report):
     payload = {
         "bench": "large",
         "scale": "large",
-        "batched": True,
-        "bw_closed_form": True,
         "workload": {
             "num_sbs": NUM_SBS,
             "num_items": NUM_ITEMS,

@@ -228,7 +228,7 @@ def _cmd_bench(args: argparse.Namespace) -> dict | None:
 
 
 def _cmd_bench_matrix(args: argparse.Namespace) -> dict | None:
-    """``repro bench matrix`` — the executor x incremental strategy grid.
+    """``repro bench matrix`` — the headline comparison in every executor cell.
 
     Each cell's wall-time lands as a top-level ``<cell>_seconds`` field of
     ``BENCH_matrix.json``, so two matrix records diff with the standard
@@ -314,7 +314,7 @@ def _cmd_bench_diff(args: argparse.Namespace) -> dict | None:
     ``--threshold`` (default 10%). With differing digests the runs are not
     comparable, so timings are reported but never gated. ``--gate-costs``
     additionally fails the diff on any cost drift, regardless of digests —
-    the gate for strategy A/Bs (batched off/on, executor changes) that
+    the gate for strategy A/Bs (executor changes, refactors) that
     must reproduce bit-identical costs.
     """
     from repro.perf.benchdiff import diff_bench, load_bench, render_bench_diff
@@ -523,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     pb_run.add_argument("--path", type=str, default=argparse.SUPPRESS)
     pb_matrix = pb_sub.add_parser(
         "matrix",
-        help="executor x incremental strategy grid -> BENCH_matrix.json",
+        help="headline comparison per executor cell -> BENCH_matrix.json",
     )
     pb_matrix.add_argument("--beta", type=float, default=50.0)
     pb_matrix.add_argument(
@@ -571,8 +571,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--gate-costs",
         action="store_true",
         help="also fail on any cost drift between the records (works across "
-        "differing config digests — the strategy A/B gate: e.g. batched "
-        "off/on must reproduce identical costs)",
+        "differing config digests — the strategy A/B gate: e.g. serial and "
+        "parallel runs must reproduce identical costs)",
     )
 
     pz = sub.add_parser(

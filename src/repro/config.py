@@ -1,12 +1,13 @@
 """Runtime configuration: one typed object instead of scattered env reads.
 
-:class:`RuntimeConfig` is the explicit argument accepted across the library
-and by every :mod:`repro.api` entry point. Executor choice and worker count
-come from it (or from explicit arguments) only. The remaining knobs also
-have an environment override, which CI and deployment wrappers use to A/B a
-layer without touching call sites.
+:class:`RuntimeConfig` is the explicit argument accepted by every
+:mod:`repro.api` entry point. It carries executor choice and worker count,
+which come from it (or from explicit arguments) only, and the serve
+runtime's settings, which also have an environment override for
+deployment wrappers. The solvers take no runtime knobs: each subproblem
+has one exact path.
 
-Precedence, everywhere a knob is consulted: **explicit argument >
+Precedence, everywhere a serve setting is consulted: **explicit argument >
 ``RuntimeConfig`` field > environment > built-in default**.
 """
 
@@ -16,20 +17,6 @@ import os
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-
-#: Switch for the incremental re-solve layer, so CI can A/B the layer
-#: without touching call sites. ``0`` disables; anything else enables.
-INCREMENTAL_ENV = "REPRO_INCREMENTAL"
-
-#: Switch for the batched (vectorized) solve core — the stacked ``P1``
-#: certificate kernel and the all-SBS ``P2`` water-fill. ``0`` disables.
-BATCHED_ENV = "REPRO_BATCHED"
-
-#: Switch for the closed-form bandwidth-bound ``P2`` water-fill (default
-#: on). ``REPRO_BW_CLOSED_FORM=0`` routes every bandwidth-bound row through
-#: the legacy bisection instead — the A/B reference path CI uses to gate
-#: cost drift.
-BW_CLOSED_FORM_ENV = "REPRO_BW_CLOSED_FORM"
 
 #: Environment overrides for the serve runtime (:mod:`repro.serve`). CI and
 #: deployment wrappers set them. Precedence at every consultation point:
@@ -55,7 +42,7 @@ DEFAULT_SERVE_SLOT_SECONDS = 0.25
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Explicit runtime knobs for solves, sweeps and benchmarks.
+    """Explicit runtime knobs for sweeps, benchmarks and the serve runtime.
 
     Every field defaults to ``None`` — "not specified" — in which case the
     environment override (where the knob has one) and then the built-in
@@ -68,21 +55,6 @@ class RuntimeConfig:
     workers:
         Worker count for parallel fan-outs; overrides a count embedded in
         ``executor``.
-    incremental:
-        Whether the incremental re-solve layer is active (default on):
-        per-SBS ``P1`` memoization and cross-window warm-candidate seeding
-        in the online controllers. ``REPRO_INCREMENTAL=0`` is the
-        environment override.
-    batched:
-        Whether the batched solve core is active (default on): the stacked
-        ``P1`` certificate kernels with per-SBS fallback and the all-SBS
-        ``P2`` water-fill with certificate early exit. ``REPRO_BATCHED=0``
-        is the environment override.
-    bw_closed_form:
-        Whether bandwidth-bound ``P2`` rows are solved by the exact
-        closed-form parametric path (default on) or by the legacy
-        bisection reference. ``REPRO_BW_CLOSED_FORM=0`` is the
-        environment override; CI uses it for cost-drift A/B runs.
     serve_rps:
         Open-loop arrival rate for the serve runtime (requests/second;
         default 200). ``REPRO_SERVE_RPS`` is the environment override.
@@ -112,9 +84,6 @@ class RuntimeConfig:
 
     executor: str | None = None
     workers: int | None = None
-    incremental: bool | None = None
-    batched: bool | None = None
-    bw_closed_form: bool | None = None
     serve_rps: float | None = None
     serve_admission: str | None = None
     serve_queue_depth: int | None = None
@@ -159,31 +128,6 @@ class RuntimeConfig:
             from repro.obs.live import parse_slo_specs
 
             parse_slo_specs(self.obs_slo)
-
-
-def resolved_incremental(config: RuntimeConfig | None) -> bool:
-    """Incremental re-solve layer: config field, else env, else on."""
-    if config is not None and config.incremental is not None:
-        return config.incremental
-    return os.environ.get(INCREMENTAL_ENV, "") != "0"
-
-
-def resolved_batched(config: RuntimeConfig | None) -> bool:
-    """Batched solve core: config field, else env, else on."""
-    if config is not None and config.batched is not None:
-        return config.batched
-    return os.environ.get(BATCHED_ENV, "") != "0"
-
-
-def resolved_bw_closed_form(
-    config: RuntimeConfig | None, arg: bool | None = None
-) -> bool:
-    """Closed-form bandwidth-bound path: arg, else config, else env, else on."""
-    if arg is not None:
-        return bool(arg)
-    if config is not None and config.bw_closed_form is not None:
-        return config.bw_closed_form
-    return os.environ.get(BW_CLOSED_FORM_ENV, "") != "0"
 
 
 def _serve_env_float(name: str) -> float | None:

@@ -17,13 +17,13 @@ one path per call:
    (:func:`_relaxed_dp_stack`), then the cap-constrained cancel kernel
    (:func:`repro.core.capped.capped_cancel_stack`) for the rows whose relaxed
    optimum over-caps;
-3. a per-SBS min-cost flow (:func:`_solve_single_sbs_flow`) for the rows
-   neither kernel certifies. The LP *is* a min-cost flow in which each of
-   the ``C_n`` cache slots is one unit of flow travelling through time —
-   idling between hub nodes for free, or detouring through a content's
-   per-slot node chain (paying ``beta_n`` to enter, collecting ``c[t,k]``
-   per slot held) — so integrality is automatic and the solve is
-   combinatorial.
+3. a per-SBS min-cost flow (:func:`_solve_single_sbs_flow`), run serially
+   and counted, for the rows neither kernel certifies. The LP *is* a
+   min-cost flow in which each of the ``C_n`` cache slots is one unit of
+   flow travelling through time — idling between hub nodes for free, or
+   detouring through a content's per-slot node chain (paying ``beta_n`` to
+   enter, collecting ``c[t,k]`` per slot held) — so integrality is
+   automatic and the solve is combinatorial.
 
 The HiGHS LP of Eqs. 20-22 is kept in the test suite as the independent
 oracle the three stages are checked against.
@@ -35,13 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_batched
 from repro.core.capped import capped_cancel_stack
 from repro.exceptions import ConfigurationError, SolverError
 from repro.network.topology import Network
 from repro.obs.recorder import inc
 from repro.optim.mincostflow import MinCostFlow
-from repro.perf.executor import Executor, resolve_executor
 from repro.perf.solvecache import SolveCache, p1_digest
 from repro.types import FloatArray
 
@@ -75,8 +73,6 @@ def solve_caching(
     mu: FloatArray,
     x_initial: FloatArray,
     *,
-    executor: Executor | str | None = None,
-    config: RuntimeConfig | None = None,
     cache: SolveCache | None = None,
 ) -> CachingSolution:
     """Solve ``P1`` given multipliers ``mu`` of shape ``(T, M, K)``.
@@ -87,14 +83,9 @@ def solve_caching(
     With a :class:`repro.perf.solvecache.SolveCache`, byte-identical
     per-SBS subproblems are answered from the digest-exact memo without
     solving. The misses go to the batched pass (:func:`_solve_batched_p1`,
-    counted as ``p1_batched_solves`` / ``p1_batched_fallbacks``; disabled by
-    ``RuntimeConfig(batched=False)``), and whatever it leaves goes to the
-    per-SBS flow. ``P1`` is exactly separable per SBS, so with an
-    ``executor`` (or a :class:`repro.config.RuntimeConfig`) the per-SBS flow
-    solves fan out in parallel; results are reduced in SBS order,
-    bit-identical to the serial path. Memo lookups and counter increments
-    happen here in the parent, so recorded telemetry stays bit-identical
-    across executors.
+    counted as ``p1_batched_solves``), and whatever it leaves goes to the
+    per-SBS flow one SBS at a time (counted as ``p1_batched_fallbacks``).
+    Results are reduced in SBS order.
     """
     if mu.ndim != 3 or mu.shape[1:] != (network.num_classes, network.num_items):
         raise ConfigurationError(
@@ -132,43 +123,31 @@ def solve_caching(
     # Batched pass: one vectorized DP (plus the capped kernel) over every
     # miss at once; rows it certifies are solved here, the rest fall back
     # to the per-SBS flow below.
-    if resolved_batched(config) and miss_ns:
+    if miss_ns:
         accepted = _solve_batched_p1(network, prices, x_initial, miss_ns)
+        fallback: list[tuple[int, bytes]] = []
+        for n, key in zip(miss_ns, miss_keys):
+            entry = accepted.get(n)
+            if entry is None:
+                fallback.append((n, key))
+                continue
+            results[n] = entry
+            if cache is not None:
+                cache.store(key, entry[0], entry[1])
         if accepted:
-            kept_ns: list[int] = []
-            kept_keys: list[bytes] = []
-            for n, key in zip(miss_ns, miss_keys):
-                entry = accepted.get(n)
-                if entry is None:
-                    kept_ns.append(n)
-                    kept_keys.append(key)
-                    continue
-                results[n] = entry
-                if cache is not None:
-                    cache.store(key, entry[0], entry[1])
-            miss_ns, miss_keys = kept_ns, kept_keys
             inc("p1_batched_solves", len(accepted))
-        if miss_ns:
-            inc("p1_batched_fallbacks", len(miss_ns))
-
-    tasks = [
-        (
-            prices[:, n, :],
-            float(network.replacement_costs[n]),
-            int(network.cache_sizes[n]),
-            np.asarray(x_initial[n], dtype=np.float64),
-        )
-        for n in miss_ns
-    ]
-    ex = resolve_executor(executor, config=config)
-    if ex.workers > 1 and len(tasks) > 1:
-        solved = ex.map(_solve_sbs_task, tasks)
-    else:
-        solved = [_solve_sbs_task(task) for task in tasks]
-    for n, key, (xn, obj) in zip(miss_ns, miss_keys, solved):
-        results[n] = (xn, obj)
-        if cache is not None:
-            cache.store(key, xn, obj)
+        if fallback:
+            inc("p1_batched_fallbacks", len(fallback))
+        for n, key in fallback:
+            xn, obj = _solve_single_sbs_flow(
+                prices[:, n, :],
+                float(network.replacement_costs[n]),
+                int(network.cache_sizes[n]),
+                np.asarray(x_initial[n], dtype=np.float64),
+            )
+            results[n] = (xn, obj)
+            if cache is not None:
+                cache.store(key, xn, obj)
 
     if cache is not None:
         hits = cache.hits - hits_before
@@ -187,13 +166,6 @@ def solve_caching(
         x[:, n, :] = xn
         objective += obj
     return CachingSolution(x=x, objective=objective)
-
-
-def _solve_sbs_task(
-    task: tuple[FloatArray, float, int, FloatArray],
-) -> tuple[FloatArray, float]:
-    """One SBS's ``P1`` solve — module-level so process executors can use it."""
-    return _solve_single_sbs_flow(*task)
 
 
 def caching_objective(

@@ -15,23 +15,21 @@ For the paper's evaluation setting — quadratic BS cost, ``omega-hat = 0``
 residual ``r``: at a given ``r`` the KKT conditions rank items by the
 per-bandwidth-unit benefit ``kappa_j = 2 r omega_j - mu_j / lambda_j`` and
 fill greedily up to the bandwidth, and the resulting residual is monotone
-in ``r``. Both the loop and batched layouts route every (SBS, slot) row
-through :func:`repro.optim.waterfill.waterfill_batch`, which solves the
-fixed point with a single threshold scan whenever the bandwidth
+in ``r``. :func:`_solve_p2_fast` stacks every (SBS, slot) row of the
+window into one :func:`repro.optim.waterfill.waterfill_batch` call, which
+solves the fixed point with a single threshold scan whenever the bandwidth
 constraint is slack (the common case). When it binds, rows with at most
 two distinct weights take the exact parametric bound solve (DESIGN.md §7)
 and all others — every bound row of an SBS serving three or more MU
 classes of distinct weight, as in the paper's scenarios — take the
 26-level residual bisection, whose bytes a certified search over the
-fill's allocation-class breakpoints returns in a few fills per row
-(``closed_form=False`` sends every bound row there for A/B runs). Both layouts are bit-identical by construction, and results agree
-with the historical all-bisection solver to the documented ``<= 1e-9``
-objective envelope (the closed form is exact where the bisection is a
-``2^-26``-bracketed approximation). ``RuntimeConfig`` (or ``REPRO_BW_CLOSED_FORM``)
-selects the path; the resolution happens once in :func:`solve_p2` /
-:func:`solve_y_given_x` and is threaded through every kernel and
-projection call below. The general case (``omega-hat > 0`` or
-non-quadratic costs) falls back to FISTA over the box-plus-halfspace
+fill's allocation-class breakpoints returns in a few fills per row. The
+kernel returns the same bits however rows are stacked, so each SBS's
+block equals a solve of that SBS alone, and results agree with the
+historical all-bisection solver to the documented ``<= 1e-9`` objective
+envelope (the closed form is exact where the bisection is a
+``2^-26``-bracketed approximation). The general case (``omega-hat > 0``
+or non-quadratic costs) falls back to FISTA over the box-plus-halfspace
 feasible set, whose binding-block projection uses the same exact
 parametric solve (:func:`repro.optim.projection.halfspace_theta_exact`).
 """
@@ -42,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_batched, resolved_bw_closed_form
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.network.costs import QuadraticOperatingCost
@@ -86,35 +83,21 @@ def solve_p2(
     tol: float = 1e-7,
     max_iter: int = 500,
     budget: SolveBudget | None = None,
-    config: RuntimeConfig | None = None,
 ) -> LoadBalancingSolution:
     """Solve ``P2`` given multipliers ``mu`` of shape ``(T, M, K)``.
 
     ``budget`` is the enclosing anytime budget (shared clock): the FISTA
     fallback stops early once it is exhausted and returns its best feasible
     iterate. The closed-form fast path ignores it — one pass is exact.
-    ``config`` selects the batched solve core (default on; both paths
-    return bit-identical solutions) and the bandwidth-bound solve
-    (``bw_closed_form``, default on).
     """
     if mu.shape != problem.y_shape:
         raise DimensionMismatchError(f"mu shape {mu.shape} != {problem.y_shape}")
     if not np.isfinite(mu).all():
         raise ConfigurationError("dual prices must be finite")
-    closed_form = resolved_bw_closed_form(config)
     if _uses_fast_path(problem):
-        return _solve_p2_fast(
-            problem, mu, batched=resolved_batched(config), closed_form=closed_form
-        )
+        return _solve_p2_fast(problem, mu)
     return _solve_p2_fista(
-        problem,
-        mu,
-        y0=y0,
-        tol=tol,
-        max_iter=max_iter,
-        budget=budget,
-        batched=resolved_batched(config),
-        closed_form=closed_form,
+        problem, mu, y0=y0, tol=tol, max_iter=max_iter, budget=budget
     )
 
 
@@ -126,7 +109,6 @@ def solve_y_given_x(
     tol: float = 1e-8,
     max_iter: int = 1000,
     budget: SolveBudget | None = None,
-    config: RuntimeConfig | None = None,
 ) -> LoadBalancingSolution:
     """Exact optimal ``y`` for a fixed integral caching trajectory ``x``.
 
@@ -142,15 +124,8 @@ def solve_y_given_x(
     if not ((x >= 0.0) & (x <= 1.0)).all():
         raise ConfigurationError("cache entries must lie in [0, 1]")
     zero_mu = np.zeros(problem.y_shape)
-    closed_form = resolved_bw_closed_form(config)
     if _uses_fast_path(problem):
-        return _solve_p2_fast(
-            problem,
-            zero_mu,
-            x_caps=x,
-            batched=resolved_batched(config),
-            closed_form=closed_form,
-        )
+        return _solve_p2_fast(problem, zero_mu, x_caps=x)
     return _solve_p2_fista(
         problem,
         zero_mu,
@@ -159,8 +134,6 @@ def solve_y_given_x(
         tol=tol,
         max_iter=max_iter,
         budget=budget,
-        batched=resolved_batched(config),
-        closed_form=closed_form,
     )
 
 
@@ -186,82 +159,23 @@ def _solve_p2_fast(
     mu: FloatArray,
     *,
     x_caps: FloatArray | None = None,
-    batched: bool = False,
-    closed_form: bool | None = None,
 ) -> LoadBalancingSolution:
     """Exact solver for quadratic BS cost with ``omega-hat = 0``.
 
-    Solves the per-(SBS, slot) residual fixed point; see module docstring.
-    The loop path feeds one SBS at a time (all its slots as rows) through
-    :func:`repro.optim.waterfill.waterfill_batch`; the batched path stacks
-    all ``N x T`` (SBS, slot) rows into a single call. The kernel is
-    padding- and stacking-invariant, so both produce bit-identical
-    solutions — ``batched`` selects granularity, not semantics.
-    ``closed_form`` is forwarded to the kernel verbatim (``None``
-    re-resolves from the environment there).
-    """
-    if batched:
-        return _solve_p2_fast_batched(
-            problem, mu, x_caps=x_caps, closed_form=closed_form
-        )
-    net = problem.network
-    scale = problem.bs_cost.scale  # type: ignore[union-attr]
-    T = problem.horizon
-    y = np.zeros(problem.y_shape)
-    objective = 0.0
-    for n in range(net.num_sbs):
-        classes = net.classes_of_sbs[n]
-        lam = problem.demand[:, classes, :].reshape(T, -1)  # (T, J)
-        omega = np.repeat(net.omega_bs[classes], net.num_items)  # (J,)
-        mu_n = mu[:, classes, :].reshape(T, -1)
-        caps = lam.copy()
-        if x_caps is not None:
-            per_class_caps = np.broadcast_to(
-                x_caps[:, n, None, :], (T, len(classes), net.num_items)
-            ).reshape(T, -1)
-            caps = caps * per_class_caps
-        W = lam @ omega  # (T,)
-        B = float(net.bandwidths[n])
-
-        alloc, u = _waterfill(
-            lam, caps, omega, mu_n, W, B, scale, closed_form=closed_form
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y_n = np.where(lam > 0, alloc / lam, 0.0)
-        y[:, classes, :] = y_n.reshape(T, len(classes), net.num_items)
-        residual = W - u
-        objective += float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
-    return LoadBalancingSolution(y=y, objective=objective)
-
-
-def _solve_p2_fast_batched(
-    problem: JointProblem,
-    mu: FloatArray,
-    *,
-    x_caps: FloatArray | None = None,
-    closed_form: bool | None = None,
-) -> LoadBalancingSolution:
-    """Batched fast path: one water-fill call over all ``N x T`` rows.
-
-    Rows are stacked SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS
-    ``n``); SBSs with fewer (class, item) coordinates are zero-padded on
-    the right, which is inert because padded caps are zero. ``W`` is
-    accumulated per SBS with the same GEMV the loop path uses, so every
-    per-row quantity entering the kernel is bit-identical to the loop
-    path's.
+    Solves the per-(SBS, slot) residual fixed point (see module docstring)
+    with one water-fill call over all ``N x T`` rows. Rows are stacked
+    SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS ``n``); SBSs with
+    fewer (class, item) coordinates are zero-padded on the right, which is
+    inert because padded caps are zero. ``W`` is accumulated per SBS with
+    one GEMV over that SBS's coordinates, so every per-row quantity
+    entering the kernel — and with it each SBS's block of the solution —
+    is bitwise what a solve of that SBS alone computes.
     """
     net = problem.network
     scale = problem.bs_cost.scale  # type: ignore[union-attr]
     T = problem.horizon
     K = net.num_items
     N = net.num_sbs
-    if N == 1:
-        # One SBS: SBS-major stacking is the identity, so the loop body —
-        # which already feeds all T rows through one kernel call — is the
-        # same computation minus the zero-init/copy assembly.
-        return _solve_p2_fast(
-            problem, mu, x_caps=x_caps, batched=False, closed_form=closed_form
-        )
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
     j_max = max(counts) * K if N else 0
     R = N * T
@@ -282,26 +196,16 @@ def _solve_p2_fast_batched(
         lam_b[rows, :J] = lam
         mu_b[rows, :J] = mu[:, classes, :].reshape(T, -1)
         om_b[rows, :J] = omega
-        caps = lam.copy()
+        caps_b[rows, :J] = lam
         if x_caps is not None:
-            per_class_caps = np.broadcast_to(
+            caps_b[rows, :J] *= np.broadcast_to(
                 x_caps[:, n, None, :], (T, counts[n], K)
             ).reshape(T, -1)
-            caps = caps * per_class_caps
-        caps_b[rows, :J] = caps
         W_b[rows] = lam @ omega
         bw_b[rows] = float(net.bandwidths[n])
 
     alloc_b, u_b = waterfill_batch(
-        lam_b,
-        caps_b,
-        om_b,
-        mu_b,
-        W_b,
-        bw_b,
-        scale,
-        group_ids=group,
-        closed_form=closed_form,
+        lam_b, caps_b, om_b, mu_b, W_b, bw_b, scale, group_ids=group
     )
 
     y = np.zeros(problem.y_shape)
@@ -318,39 +222,6 @@ def _solve_p2_fast_batched(
         residual = W_b[rows] - u_b[rows]
         objective += float(scale * np.sum(residual**2)) + float(np.sum(mu_n * y_n))
     return LoadBalancingSolution(y=y, objective=objective)
-
-
-def _waterfill(
-    lam: FloatArray,
-    caps: FloatArray,
-    omega: FloatArray,
-    mu: FloatArray,
-    W: FloatArray,
-    bandwidth: float,
-    scale: float,
-    *,
-    closed_form: bool | None = None,
-) -> tuple[FloatArray, FloatArray]:
-    """One-SBS water-fill: thin wrapper over the shared batched kernel.
-
-    Arrays are ``(T, J)`` with ``J`` the flattened (class, item) coordinates
-    of one SBS. Returns the routed amounts ``alloc`` (in bandwidth units,
-    ``alloc <= caps``) and the offloaded weighted volume ``u`` per slot.
-    Routing through :func:`repro.optim.waterfill.waterfill_batch` is what
-    makes the loop and batched ``P2`` paths bit-identical.
-    """
-    omega_rows = np.ascontiguousarray(np.broadcast_to(omega, caps.shape))
-    bw = np.full(lam.shape[0], float(bandwidth))
-    return waterfill_batch(
-        np.ascontiguousarray(lam),
-        caps,
-        omega_rows,
-        mu,
-        W,
-        bw,
-        scale,
-        closed_form=closed_form,
-    )
 
 
 def _waterfill_reference(
@@ -470,17 +341,16 @@ def _solve_p2_fista(
     tol: float = 1e-7,
     max_iter: int = 500,
     budget: SolveBudget | None = None,
-    batched: bool = False,
-    closed_form: bool | None = None,
 ) -> LoadBalancingSolution:
     """General-case ``P2`` via accelerated projected gradient.
 
-    The objective and gradient already operate on the full ``(T, M, K)``
-    tensor; ``batched`` additionally runs the per-SBS block projection as
-    one stacked :func:`_project_blocks_capped` call over all ``N x T``
-    rows instead of one call per SBS. Per-row independence of the theta
-    solve (exact by default, bisection under ``closed_form=False``) makes
-    the two layouts bit-identical.
+    The objective and gradient operate on the full ``(T, M, K)`` tensor,
+    and the per-SBS block projection runs as one stacked
+    :func:`_project_blocks_capped` call over all ``N x T`` (SBS, slot)
+    rows. Each class belongs to exactly one SBS, so the blocks partition
+    the coordinates and each is projected exactly once; the exact theta
+    solve is per-row, so a row's projection does not depend on its
+    stack-mates.
     """
     net = problem.network
     T = problem.horizon
@@ -526,66 +396,40 @@ def _solve_p2_fista(
     N = net.num_sbs
     counts = [len(net.classes_of_sbs[n]) for n in range(N)]
 
-    if batched:
-        # Stack all (SBS, slot) blocks into one projection call. The
-        # demand coefficients, caps and budgets are loop-invariant, so
-        # they are assembled once; only the iterate is re-packed per call.
-        # Zero padding (a = caps = v = 0) is inert in the bisection.
-        j_max = max(counts) * K if N else 0
-        R = N * T
-        a_b = np.zeros((R, j_max))
-        caps_b = np.zeros((R, j_max))
-        bud_b = np.zeros(R)
+    # The demand coefficients, caps and budgets are loop-invariant, so they
+    # are stacked once; only the iterate is re-packed per call. Zero
+    # padding (a = caps = v = 0) is inert in the theta solve.
+    j_max = max(counts) * K if N else 0
+    R = N * T
+    a_b = np.zeros((R, j_max))
+    caps_b = np.zeros((R, j_max))
+    bud_b = np.zeros(R)
+    for n in range(N):
+        classes = net.classes_of_sbs[n]
+        J = counts[n] * K
+        rows = slice(n * T, (n + 1) * T)
+        a_b[rows, :J] = lam[:, classes, :].reshape(T, -1)
+        caps_b[rows, :J] = caps[:, classes, :].reshape(T, -1)
+        bud_b[rows] = float(net.bandwidths[n])
+
+    def project(y_flat: FloatArray) -> FloatArray:
+        # The raw (unclipped) iterate must be handed to the block
+        # projection: clipping first would change the Euclidean projection.
+        yt = y_flat.reshape(problem.y_shape)
+        v_b = np.zeros((R, j_max))
         for n in range(N):
             classes = net.classes_of_sbs[n]
             J = counts[n] * K
             rows = slice(n * T, (n + 1) * T)
-            a_b[rows, :J] = lam[:, classes, :].reshape(T, -1)
-            caps_b[rows, :J] = caps[:, classes, :].reshape(T, -1)
-            bud_b[rows] = float(net.bandwidths[n])
-
-        def project(y_flat: FloatArray) -> FloatArray:
-            yt = y_flat.reshape(problem.y_shape)
-            v_b = np.zeros((R, j_max))
-            for n in range(N):
-                classes = net.classes_of_sbs[n]
-                J = counts[n] * K
-                rows = slice(n * T, (n + 1) * T)
-                v_b[rows, :J] = yt[:, classes, :].reshape(T, -1)
-            out_b = _project_blocks_capped(
-                v_b, a_b, bud_b, caps_b, closed_form=closed_form
-            )
-            y = np.empty(problem.y_shape)
-            for n in range(N):
-                classes = net.classes_of_sbs[n]
-                J = counts[n] * K
-                rows = slice(n * T, (n + 1) * T)
-                y[:, classes, :] = out_b[rows, :J].reshape(T, counts[n], K)
-            return y.reshape(-1)
-
-    else:
-
-        def project(y_flat: FloatArray) -> FloatArray:
-            # Each class belongs to exactly one SBS, so the per-SBS blocks
-            # partition the coordinates and each is projected exactly once.
-            # The raw (unclipped) iterate must be handed to the block
-            # projection: clipping first would change the Euclidean
-            # projection.
-            y = y_flat.reshape(problem.y_shape).copy()
-            for n in range(net.num_sbs):
-                classes = net.classes_of_sbs[n]
-                block = y[:, classes, :].reshape(T, -1)
-                a = lam[:, classes, :].reshape(T, -1)
-                budgets = np.full(T, net.bandwidths[n])
-                projected = _project_blocks_capped(
-                    block,
-                    a,
-                    budgets,
-                    caps[:, classes, :].reshape(T, -1),
-                    closed_form=closed_form,
-                )
-                y[:, classes, :] = projected.reshape(T, len(classes), net.num_items)
-            return y.reshape(-1)
+            v_b[rows, :J] = yt[:, classes, :].reshape(T, -1)
+        out_b = _project_blocks_capped(v_b, a_b, bud_b, caps_b)
+        y = np.empty(problem.y_shape)
+        for n in range(N):
+            classes = net.classes_of_sbs[n]
+            J = counts[n] * K
+            rows = slice(n * T, (n + 1) * T)
+            y[:, classes, :] = out_b[rows, :J].reshape(T, counts[n], K)
+        return y.reshape(-1)
 
     start = np.zeros(problem.y_shape) if y0 is None else np.clip(y0, 0.0, caps)
     result = minimize_fista(
@@ -606,25 +450,13 @@ def _project_blocks_capped(
     a: FloatArray,
     budgets: FloatArray,
     caps: FloatArray,
-    *,
-    early_exit: bool = True,
-    closed_form: bool | None = None,
 ) -> FloatArray:
     """Batched projection onto ``{0 <= y <= caps, a . y <= budget}`` per row.
 
     Extends :func:`repro.optim.projection.project_halfspace_box_batch` to
     per-coordinate upper bounds (needed when ``y <= x`` is enforced
-    directly rather than dualized). By default the binding rows solve the
-    exact parametric theta (:func:`repro.optim.projection.halfspace_theta_exact`);
-    ``closed_form=False`` (arg > config > ``REPRO_BW_CLOSED_FORM``) keeps
-    the legacy theta bisection (26 steps) as the A/B reference.
-
-    The theta bisection exits early for any row whose bracket endpoints
-    already produce the same clipped point bitwise: ``clip(v - theta a)``
-    is elementwise monotone in ``theta`` (``a >= 0``), so equal endpoint
-    points pin the point on the whole bracket and every further iteration
-    is a no-op for that row. The early exit is bitwise-invisible;
-    ``early_exit=False`` runs the fixed iteration count for A/B tests.
+    directly rather than dualized). The binding rows solve the exact
+    parametric theta (:func:`repro.optim.projection.halfspace_theta_exact`).
     """
     base = np.clip(v, 0.0, caps)
     usage = np.einsum("bd,bd->b", a, base)
@@ -632,47 +464,6 @@ def _project_blocks_capped(
     if not np.any(violated):
         return base
     vv, aa, bb, cc = v[violated], a[violated], budgets[violated], caps[violated]
-
-    if resolved_bw_closed_form(None, closed_form):
-        theta = halfspace_theta_exact(vv, aa, bb, 0.0, cc)
-        out = base
-        out[violated] = np.clip(vv - theta[:, None] * aa, 0.0, cc)
-        return out
-
-    theta_lo = np.zeros(vv.shape[0])
-    theta_hi = np.ones(vv.shape[0])
-    for _ in range(64):
-        y = np.clip(vv - theta_hi[:, None] * aa, 0.0, cc)
-        over = np.einsum("bd,bd->b", aa, y) > bb
-        if not np.any(over):
-            break
-        theta_lo = np.where(over, theta_hi, theta_lo)
-        theta_hi = np.where(over, theta_hi * 2.0, theta_hi)
-
-    result = np.empty_like(vv)
-    idx = np.arange(vv.shape[0])
-    y_lo = np.clip(vv - theta_lo[:, None] * aa, 0.0, cc)
-    y_hi = np.clip(vv - theta_hi[:, None] * aa, 0.0, cc)
-    for _ in range(BISECTION_ITERS):
-        if early_exit:
-            same = np.all(y_lo == y_hi, axis=1)
-            if same.any():
-                result[idx[same]] = y_hi[same]
-                keep = ~same
-                idx = idx[keep]
-                vv, aa, bb, cc = vv[keep], aa[keep], bb[keep], cc[keep]
-                theta_lo, theta_hi = theta_lo[keep], theta_hi[keep]
-                y_lo, y_hi = y_lo[keep], y_hi[keep]
-                if idx.size == 0:
-                    break
-        mid = 0.5 * (theta_lo + theta_hi)
-        y_m = np.clip(vv - mid[:, None] * aa, 0.0, cc)
-        over = np.einsum("bd,bd->b", aa, y_m) > bb
-        theta_lo = np.where(over, mid, theta_lo)
-        theta_hi = np.where(over, theta_hi, mid)
-        y_lo = np.where(over[:, None], y_m, y_lo)
-        y_hi = np.where(over[:, None], y_hi, y_m)
-    result[idx] = y_hi
-    out = base
-    out[violated] = result
-    return out
+    theta = halfspace_theta_exact(vv, aa, bb, 0.0, cc)
+    base[violated] = np.clip(vv - theta[:, None] * aa, 0.0, cc)
+    return base

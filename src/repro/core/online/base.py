@@ -14,9 +14,8 @@ the persistence assumption: the currently-observed degradation is assumed
 to last through the window. The installed caches handed to the window
 problem are already evicted-to-fit by the physical system (controllers
 track them with :func:`repro.faults.realize_slot`), and a previous window's
-trajectory can seed the solve as a warm feasible candidate. All of this is
-gated on faults being active, so fault-free runs are bit-identical to the
-original controllers.
+trajectory can seed the solve as a warm feasible candidate. The degraded
+network and the eviction are gated on faults being active.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.primal_dual import PrimalDualResult, solve_primal_dual
 from repro.faults.degrade import (
     degraded_network,
@@ -59,31 +57,12 @@ class OnlineSolveSettings:
         then the best feasible one found so far. ``None`` (default) means
         uncapped. Keeps a degraded or surge-stressed slot from stalling
         the rest of the horizon.
-    incremental:
-        Whether the incremental re-solve layer is active for this
-        controller: every window seeds the previous window's committed
-        trajectory (shifted to the new slots) as a feasible incumbent, and
-        one :class:`repro.perf.solvecache.SolveCache` (the ``P1`` memo) is
-        carried across the whole window sequence.
-        ``None`` (default) defers to ``RuntimeConfig(incremental=...)`` /
-        ``REPRO_INCREMENTAL`` (default on).
     """
 
     max_iter: int = 40
     gap_tol: float = 1e-3
     ub_patience: int | None = 8
     max_seconds: float | None = None
-    incremental: bool | None = None
-
-    def resolved_incremental(self) -> bool:
-        """The effective incremental flag (field, else env, else on)."""
-        if self.incremental is not None:
-            return self.incremental
-        return resolved_incremental(None)
-
-    def make_solve_cache(self) -> SolveCache | None:
-        """A fresh per-plan :class:`SolveCache`, or ``None`` when disabled."""
-        return SolveCache() if self.resolved_incremental() else None
 
 
 def solve_window(
@@ -106,13 +85,12 @@ def solve_window(
 
     ``x_warm`` — a previous window's caching trajectory, shifted to this
     window's slots — seeds Algorithm 1 as a feasible incumbent and a
-    pre-warmed repair-cache entry. Under an active fault schedule the
-    window problem is built on the degraded network observed at
-    ``decided_at`` and the seed is first evicted-to-fit the effective
-    capacities (warm restart from the last feasible point); on the
-    fault-free path the seeding is gated by ``settings.incremental``
-    (cross-window reuse, default on). ``solve_cache`` carries the ``P1``
-    memo across the caller's whole window sequence.
+    pre-warmed repair-cache entry (cross-window reuse). Under an active
+    fault schedule the window problem is built on the degraded network
+    observed at ``decided_at`` and the seed is first evicted-to-fit the
+    effective capacities (warm restart from the last feasible point).
+    ``solve_cache`` carries the ``P1`` memo across the caller's whole
+    window sequence.
     """
     predicted = scenario.predictor.predict_window(
         max(decided_at, 0), window_start, window
@@ -131,11 +109,7 @@ def solve_window(
                 [sbs_item_values(scenario.network, predicted[t]) for t in range(window)]
             )
             candidates = (evict_trajectory_to_fit(x_warm, caps_t, values_t),)
-    elif (
-        settings.resolved_incremental()
-        and x_warm is not None
-        and x_warm.shape[0] == window
-    ):
+    elif x_warm is not None and x_warm.shape[0] == window:
         candidates = (x_warm,)
     problem = scenario.window_problem(predicted, x_prev, network=network)
     mu0 = None
@@ -146,11 +120,6 @@ def solve_window(
         inc("window_solves_warm_started")
     if candidates is not None:
         inc("window_solves_candidate_seeded")
-    config = (
-        RuntimeConfig(incremental=settings.incremental)
-        if settings.incremental is not None
-        else None
-    )
     # Stamp the deciding slot onto every event the inner solver emits
     # (solve_done, budget_exhausted), so traces tie each solve to its slot.
     with slot_scope(max(window_start, 0)):
@@ -162,12 +131,11 @@ def solve_window(
             ub_patience=settings.ub_patience,
             initial_candidates=candidates,
             max_seconds=settings.max_seconds,
-            config=config,
             solve_cache=solve_cache,
         )
 
 
-def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
+def record_cache_stats(cache: SolveCache, controller: str) -> None:
     """Report a plan's :class:`SolveCache` counters, labeled per controller.
 
     The unlabeled ``p1_memo_*`` counters accumulate
@@ -175,8 +143,6 @@ def record_cache_stats(cache: SolveCache | None, controller: str) -> None:
     attribute the reuse to the controller whose plan owned the cache (the
     benchmark report reads them per policy).
     """
-    if cache is None:
-        return
     labels = {"controller": controller}
     if cache.hits:
         inc("p1_memo_hits", cache.hits, labels=labels)

@@ -24,6 +24,7 @@ from repro.core.rounding import (
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.recorder import inc, label_scope
+from repro.perf.solvecache import SolveCache
 from repro.scenario import PolicyPlan, Scenario
 
 
@@ -85,7 +86,7 @@ class CHC:
         # One cache across all variants: they run sequentially, so sharing
         # stays deterministic, and overlapping variant windows can answer
         # each other's byte-identical P1 subproblems from the memo.
-        cache = self.settings.make_solve_cache()
+        cache = SolveCache()
         for v in range(self.commitment):
             traj = run_fhc_variant(
                 scenario,

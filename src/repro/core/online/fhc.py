@@ -53,7 +53,7 @@ def run_fhc_variant(
 
     ``solve_cache`` shares incremental re-solve state with the caller (CHC
     passes one cache across all its variants); when omitted, a per-variant
-    cache is created if the incremental layer is enabled.
+    cache is created.
     """
     if not 1 <= commitment <= window:
         raise ConfigurationError(
@@ -69,9 +69,8 @@ def run_fhc_variant(
     solves = 0
     faulted = scenario.faults is not None and not scenario.faults.is_empty
     states = scenario_states(scenario) if faulted else None
-    incremental = settings.resolved_incremental()
     if solve_cache is None:
-        solve_cache = settings.make_solve_cache()
+        solve_cache = SolveCache()
     for tau in fhc_solve_times(variant, commitment, T):
         result = solve_window(
             scenario,
@@ -101,13 +100,10 @@ def run_fhc_variant(
                 x_prev = realize_slot(
                     x[t], x_prev, states.slot(t), scenario.demand.rates[t], net
                 )
-            x_warm = shift_mu(result.x, commitment)
-        else:
-            if len(slots):
-                x_prev = x[slots[-1]]
-            # Cross-window reuse: this window's trajectory, shifted past
-            # the committed block, seeds the variant's next solve.
-            if incremental:
-                x_warm = shift_mu(result.x, commitment)
+        elif len(slots):
+            x_prev = x[slots[-1]]
+        # Cross-window reuse: this window's trajectory, shifted past the
+        # committed block, seeds the variant's next solve.
+        x_warm = shift_mu(result.x, commitment)
         mu_warm = shift_mu(result.mu, commitment)
     return FixedHorizonTrajectory(x=x, y=y, solves=solves)

@@ -23,6 +23,7 @@ from repro.core.online.base import (
 from repro.exceptions import ConfigurationError
 from repro.faults.degrade import realize_slot, scenario_states
 from repro.obs.recorder import inc, label_scope
+from repro.perf.solvecache import SolveCache
 from repro.scenario import PolicyPlan, Scenario
 
 
@@ -64,8 +65,7 @@ class RHC:
         solves = 0
         faulted = scenario.faults is not None and not scenario.faults.is_empty
         states = scenario_states(scenario) if faulted else None
-        incremental = self.settings.resolved_incremental()
-        cache = self.settings.make_solve_cache()
+        cache = SolveCache()
         for tau in range(T):
             result = solve_window(
                 scenario,
@@ -84,18 +84,15 @@ class RHC:
             y[tau] = result.y[0]
             if faulted:
                 # Track the caches actually installed (outage freeze +
-                # evict-to-fit) so the next window starts from reality,
-                # and seed it with this window's shifted trajectory.
+                # evict-to-fit) so the next window starts from reality.
                 x_prev = realize_slot(
                     x[tau], x_prev, states.slot(tau), scenario.demand.rates[tau], net
                 )
-                x_warm = shift_mu(result.x, 1)
             else:
                 x_prev = x[tau]
-                # Cross-window reuse: the committed trajectory, shifted one
-                # slot, seeds the next window as a feasible incumbent.
-                if incremental:
-                    x_warm = shift_mu(result.x, 1)
+            # Cross-window reuse: the committed trajectory, shifted one
+            # slot, seeds the next window as a feasible incumbent.
+            x_warm = shift_mu(result.x, 1)
             mu_warm = shift_mu(result.mu, 1)
         record_cache_stats(cache, self.name)
         return PolicyPlan(x=x, y=y, solves=solves)

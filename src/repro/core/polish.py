@@ -20,13 +20,14 @@ Batched evaluation
 ------------------
 On the paper's fast path (quadratic BS cost, ``omega-hat = 0``) the oracle
 decomposes per SBS, and a single-item move touches exactly one SBS. The
-batched path (``RuntimeConfig(batched=...)``, default on) exploits both
-facts: all candidate rows of a cell are pushed through one
-:func:`repro.optim.waterfill.waterfill_batch` call, each candidate's
-full-slot ``y`` is assembled from the cached current-slot oracle plus the
-candidate's block, and moves are then scanned in the same first-improvement
-order as the loop path. Every assembled ``y`` and operating cost is
-bit-identical to what the per-move oracle would have produced.
+batched evaluation exploits both facts: all candidate rows of a cell are
+pushed through one :func:`repro.optim.waterfill.waterfill_batch` call,
+each candidate's full-slot ``y`` is assembled from the cached current-slot
+oracle plus the candidate's block, and moves are then scanned in
+first-improvement order. Every assembled ``y`` and operating cost is
+bit-identical to what the per-move oracle would have produced. Problems
+off the fast path (``omega-hat > 0`` or a non-quadratic cost) evaluate
+each move through the oracle instead.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_batched, resolved_bw_closed_form
 from repro.core.load_balancing import _uses_fast_path, solve_y_given_x
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
@@ -52,10 +52,8 @@ def _slot_problems(problem: JointProblem) -> list[JointProblem]:
     ]
 
 
-def _operating_cost(
-    sub: JointProblem, x_t: FloatArray, *, config: RuntimeConfig | None = None
-) -> tuple[float, FloatArray]:
-    y = solve_y_given_x(sub, x_t[None], config=config).y
+def _operating_cost(sub: JointProblem, x_t: FloatArray) -> tuple[float, FloatArray]:
+    y = solve_y_given_x(sub, x_t[None]).y
     return sub.cost(x_t[None], y).operating, y
 
 
@@ -98,8 +96,6 @@ def _candidate_blocks(
     sub: JointProblem,
     n: int,
     new_rows: FloatArray,
-    *,
-    closed_form: bool | None = None,
 ) -> FloatArray:
     """Oracle ``y`` blocks of SBS ``n`` for a stack of candidate cache rows.
 
@@ -128,7 +124,6 @@ def _candidate_blocks(
         np.full(V, W_val),
         np.full(V, float(net.bandwidths[n])),
         sub.bs_cost.scale,  # type: ignore[union-attr]
-        closed_form=closed_form,
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lam_b > 0, alloc_b / lam_b, 0.0)
@@ -140,14 +135,11 @@ def polish_caching(
     *,
     max_passes: int = 2,
     tol: float = 1e-9,
-    config: RuntimeConfig | None = None,
 ) -> tuple[FloatArray, FloatArray, CostBreakdown]:
     """Improve ``x`` by single-item local moves; returns ``(x, y, cost)``.
 
     The returned cost is never worse than the input trajectory's. ``y`` is
-    the exact fixed-cache optimum for the polished caches. ``config``
-    selects the batched candidate evaluation (default on); both paths
-    visit the same moves and return bit-identical results.
+    the exact fixed-cache optimum for the polished caches.
     """
     if max_passes <= 0:
         raise ConfigurationError(f"max_passes must be positive, got {max_passes}")
@@ -157,13 +149,12 @@ def polish_caching(
     net = problem.network
     T = problem.horizon
     K = net.num_items
-    batched = resolved_batched(config) and _uses_fast_path(problem)
-    closed_form = resolved_bw_closed_form(config)
+    batched = _uses_fast_path(problem)
     slots = _slot_problems(problem)
     slot_y: list[FloatArray] = []
     slot_cost = np.zeros(T)
     for t in range(T):
-        slot_cost[t], y_t = _operating_cost(slots[t], x[t], config=config)
+        slot_cost[t], y_t = _operating_cost(slots[t], x[t])
         slot_y.append(y_t)
 
     for _ in range(max_passes):
@@ -184,9 +175,7 @@ def polish_caching(
                             new_rows[v, k_out] = 0.0
                         if k_in is not None:
                             new_rows[v, k_in] = 1.0
-                    blocks = _candidate_blocks(
-                        slots[t], n, new_rows, closed_form=closed_form
-                    )
+                    blocks = _candidate_blocks(slots[t], n, new_rows)
                     classes = net.classes_of_sbs[n]
                     sub = slots[t]
                     for v, (k_out, k_in) in enumerate(moves):
@@ -203,8 +192,8 @@ def polish_caching(
                             problem, x, t, n, new_rows[v]
                         )
                         if delta < -tol:
-                            # First improvement per cell, exactly as the
-                            # loop path scans them.
+                            # First improvement per cell, in the order the
+                            # per-move loop below scans them.
                             x[t, n] = new_rows[v]
                             slot_cost[t] = new_op
                             slot_y[t] = y_move
@@ -219,7 +208,7 @@ def polish_caching(
                         new_row[k_in] = 1.0
                     x_t = x[t].copy()
                     x_t[n] = new_row
-                    new_op, y_new = _operating_cost(slots[t], x_t, config=config)
+                    new_op, y_new = _operating_cost(slots[t], x_t)
                     delta = (new_op - slot_cost[t]) + _switch_delta(
                         problem, x, t, n, new_row
                     )
@@ -235,5 +224,5 @@ def polish_caching(
         if not improved:
             break
 
-    y = solve_y_given_x(problem, x, config=config).y
+    y = solve_y_given_x(problem, x).y
     return x, y, problem.cost(x, y)

@@ -31,7 +31,6 @@ from typing import Literal, Mapping
 
 import numpy as np
 
-from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.caching_lp import solve_caching
 from repro.core.load_balancing import solve_p2, solve_y_given_x
 from repro.core.problem import JointProblem
@@ -41,7 +40,6 @@ from repro.obs.convergence import ConvergenceTrace
 from repro.obs.recorder import emit, observe_quantile
 from repro.optim.budget import SolveBudget
 from repro.optim.subgradient import dual_ascent_recorder
-from repro.perf.executor import Executor, resolve_executor
 from repro.perf.solvecache import SolveCache
 from repro.perf.timers import StageTimers
 from repro.types import DEFAULT_GAP_TOL, FloatArray
@@ -116,9 +114,7 @@ def solve_primal_dual(
     mu0: FloatArray | None = None,
     ub_patience: int | None = None,
     initial_candidates: tuple[FloatArray, ...] | None = None,
-    executor: Executor | str | None = None,
     max_seconds: float | None = None,
-    config: RuntimeConfig | None = None,
     solve_cache: SolveCache | None = None,
 ) -> PrimalDualResult:
     """Run Algorithm 1 on ``problem``.
@@ -153,11 +149,6 @@ def solve_primal_dual(
         integral, capacity-feasible) evaluated up-front as incumbent upper
         bounds. Guarantees the returned solution is at least as good as
         every supplied candidate.
-    executor:
-        Parallel-execution strategy for the per-SBS ``P1`` solves — an
-        :class:`repro.perf.Executor`, a spec string (``"process:4"``), or
-        ``None`` to take it from ``config`` (default serial). Results are
-        bit-identical across strategies.
     max_seconds:
         Anytime wall-time cap. Checked after each completed outer
         iteration, so at least one feasible ``(x, y)`` pair always exists
@@ -165,20 +156,15 @@ def solve_primal_dual(
         ``stopped_by_budget=True``. The same clock is shared with the
         FISTA fallback inside ``P2`` so a single slow subproblem cannot
         blow through the cap.
-    config:
-        Runtime knobs (:class:`repro.config.RuntimeConfig`) consulted when
-        ``executor`` is not given explicitly.
     solve_cache:
         Incremental re-solve state (:class:`repro.perf.solvecache.SolveCache`)
         shared with related solves — the online controllers pass one cache
-        across their whole window sequence. When omitted and the
-        incremental layer is enabled (``RuntimeConfig(incremental=...)`` /
-        ``REPRO_INCREMENTAL``; default on), a private per-call cache is
-        created so within-solve reuse still applies. A cache also enables
-        the *best-dual recovery* step: when the loop stops without
-        converging, the caching trajectory at the best dual point is
-        re-derived (free, via the memo) and evaluated as one extra
-        feasible candidate.
+        across their whole window sequence. When omitted, a private
+        per-call cache is created so within-solve reuse still applies. The
+        memo makes the *stall re-anchor* and the *best-dual recovery* step
+        free: when the loop stops without converging, the caching
+        trajectory at the best dual point is re-derived from the memo and
+        evaluated as one extra feasible candidate.
     """
     if max_iter <= 0:
         raise ConfigurationError(f"max_iter must be positive, got {max_iter}")
@@ -196,8 +182,7 @@ def solve_primal_dual(
     mu = np.zeros(problem.y_shape) if mu0 is None else np.maximum(mu0, 0.0)
     if mu.shape != problem.y_shape:
         raise ConfigurationError(f"mu0 shape {mu.shape} != {problem.y_shape}")
-    ex = resolve_executor(executor, config=config)
-    if solve_cache is None and resolved_incremental(config):
+    if solve_cache is None:
         solve_cache = SolveCache()
     timers = StageTimers()
     solve_started = time.perf_counter()
@@ -228,7 +213,7 @@ def solve_primal_dual(
                 f"candidate shape {cx.shape} != {problem.x_shape}"
             )
         with timers.stage("repair"):
-            cy = solve_y_given_x(problem, cx, config=config).y
+            cy = solve_y_given_x(problem, cx).y
         c_cost = problem.cost(cx, cy)
         repair_cache[cx.tobytes()] = (cy, c_cost)
         if best_cost is None or c_cost.total < best_cost.total:
@@ -242,15 +227,10 @@ def solve_primal_dual(
         reanchor = False
         with timers.stage("p1"):
             caching = solve_caching(
-                problem.network,
-                mu,
-                problem.x_initial,
-                executor=ex,
-                config=config,
-                cache=solve_cache,
+                problem.network, mu, problem.x_initial, cache=solve_cache
             )
         with timers.stage("p2"):
-            balancing = solve_p2(problem, mu, y0=y_warm, budget=budget, config=config)
+            balancing = solve_p2(problem, mu, y0=y_warm, budget=budget)
         y_warm = balancing.y
         dual_value = caching.objective + balancing.objective
         # At the -inf sentinel the relative-improvement margin is nan
@@ -270,13 +250,13 @@ def solve_primal_dual(
             if since_lb_improved >= 5:
                 relax = max(relax * 0.5, 0.05)
                 since_lb_improved = 0
-                # With a memo, also re-anchor the ascent at the best dual
-                # point seen: the gradient step is skipped this iteration,
-                # so the next one re-solves ``mu_best`` byte-identically —
-                # ``P1`` comes straight from the memo — and the relaxed
-                # ascent continues from the best point instead of wherever
-                # the overshoot drifted.
-                if solve_cache is not None and mu_best is not None and mu_best is not mu:
+                # Also re-anchor the ascent at the best dual point seen:
+                # the gradient step is skipped this iteration, so the next
+                # one re-solves ``mu_best`` byte-identically — ``P1`` comes
+                # straight from the memo — and the relaxed ascent continues
+                # from the best point instead of wherever the overshoot
+                # drifted.
+                if mu_best is not None and mu_best is not mu:
                     mu = mu_best
                     reanchor = True
 
@@ -287,7 +267,7 @@ def solve_primal_dual(
         cached = repair_cache.get(x_key)
         if cached is None:
             with timers.stage("repair"):
-                repaired_y = solve_y_given_x(problem, caching.x, config=config).y
+                repaired_y = solve_y_given_x(problem, caching.x).y
             candidate = problem.cost(caching.x, repaired_y)
             repair_cache[x_key] = (repaired_y, candidate)
         else:
@@ -354,8 +334,7 @@ def solve_primal_dual(
     # dual was recorded) and evaluating it can only improve the committed
     # feasible candidate — the classic primal-recovery-at-best-dual step.
     if (
-        solve_cache is not None
-        and not converged
+        not converged
         and not stopped_by_budget
         and mu_best is not None
         and mu_solved is not None
@@ -364,18 +343,13 @@ def solve_primal_dual(
     ):
         with timers.stage("p1"):
             recovered = solve_caching(
-                problem.network,
-                mu_best,
-                problem.x_initial,
-                executor=ex,
-                config=config,
-                cache=solve_cache,
+                problem.network, mu_best, problem.x_initial, cache=solve_cache
             )
         x_key = recovered.x.tobytes()
         cached = repair_cache.get(x_key)
         if cached is None:
             with timers.stage("repair"):
-                repaired_y = solve_y_given_x(problem, recovered.x, config=config).y
+                repaired_y = solve_y_given_x(problem, recovered.x).y
             candidate = problem.cost(recovered.x, repaired_y)
             repair_cache[x_key] = (repaired_y, candidate)
         else:

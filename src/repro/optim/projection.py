@@ -11,17 +11,16 @@ that point is a continuous, piecewise-linear, non-increasing function of
 stable sort of the 2d clip breakpoints per row, prefix sums of the
 per-segment linear coefficients, and a vectorized count to locate the
 crossing segment (mirroring the parametric bandwidth-bound water-fill of
-:mod:`repro.optim.waterfill`, DESIGN.md §7). The historical bisection is
-kept behind ``closed_form=False`` as the A/B reference; the scalar
+:mod:`repro.optim.waterfill`, DESIGN.md §7). The scalar
 :func:`project_halfspace_box` stays a bisection because its callers are
-not hot.
+not hot; it shares no code with the exact solve, so tests use it as the
+batched operators' reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.config import resolved_bw_closed_form
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
 from repro.types import FloatArray
 
@@ -173,20 +172,13 @@ def project_halfspace_box_batch(
     budgets: FloatArray,
     lo: float = 0.0,
     hi: float = 1.0,
-    *,
-    iterations: int = 60,
-    closed_form: bool | None = None,
 ) -> FloatArray:
     """Batched :func:`project_halfspace_box` over leading blocks.
 
     ``v`` and ``a`` have shape ``(B, d)`` (``a`` may also be ``(d,)`` and is
     broadcast); ``budgets`` has shape ``(B,)``. Block ``i`` is projected
-    onto ``{y : lo <= y <= hi, a[i] . y <= budgets[i]}``. By default the
-    binding blocks are solved exactly via
-    :func:`halfspace_theta_exact`; ``closed_form`` (arg >
-    ``RuntimeConfig`` > ``REPRO_BW_CLOSED_FORM`` > default on) selects
-    the legacy vectorized bisection instead, which runs ``iterations``
-    halving steps and is kept as the A/B reference.
+    onto ``{y : lo <= y <= hi, a[i] . y <= budgets[i]}``; the binding
+    blocks are solved exactly via :func:`halfspace_theta_exact`.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2:
@@ -213,34 +205,9 @@ def project_halfspace_box_batch(
 
     vv = v[violated]
     aa = a[violated]
-    bb = budgets[violated]
-
-    if resolved_bw_closed_form(None, closed_form):
-        theta = halfspace_theta_exact(vv, aa, bb, lo, hi)
-        out = base
-        out[violated] = np.clip(vv - theta[:, None] * aa, lo, hi)
-        return out
-
-    def block_usage(theta: FloatArray) -> FloatArray:
-        y = np.clip(vv - theta[:, None] * aa, lo, hi)
-        return np.einsum("bd,bd->b", aa, y)
-
-    theta_lo = np.zeros(vv.shape[0])
-    theta_hi = np.ones(vv.shape[0])
-    for _ in range(64):
-        over = block_usage(theta_hi) > bb
-        if not np.any(over):
-            break
-        theta_lo = np.where(over, theta_hi, theta_lo)
-        theta_hi = np.where(over, theta_hi * 2.0, theta_hi)
-    for _ in range(iterations):
-        mid = 0.5 * (theta_lo + theta_hi)
-        over = block_usage(mid) > bb
-        theta_lo = np.where(over, mid, theta_lo)
-        theta_hi = np.where(over, theta_hi, mid)
-    out = base
-    out[violated] = np.clip(vv - theta_hi[:, None] * aa, lo, hi)
-    return out
+    theta = halfspace_theta_exact(vv, aa, budgets[violated], lo, hi)
+    base[violated] = np.clip(vv - theta[:, None] * aa, lo, hi)
+    return base
 
 
 def project_capped_simplex(

@@ -3,12 +3,11 @@
 :func:`waterfill_batch` solves the per-(SBS, slot) residual fixed point of
 subproblem ``P2`` for a whole stack of rows at once: every row is one
 (SBS, slot) pair, so a single call covers all ``N`` SBSs of a window
-instead of one solve per SBS. The scalar loop path routes through the same
-kernel one SBS at a time, and every reduction inside the kernel is either
+instead of one solve per SBS. Every reduction inside the kernel is either
 elementwise or a sequential per-row scan — zero-padded tail coordinates
-are exactly inert and rows never interact — so the batched and loop
-layouts return bit-identical solutions regardless of how rows are stacked,
-padded, or chunked.
+are exactly inert and rows never interact — so a row's solution is
+bit-identical however the rows are stacked, padded, or chunked: a stacked
+call returns, for each SBS, exactly what a call on that SBS alone does.
 
 Closed-form solve, bandwidth slack (the common case)
 ----------------------------------------------------
@@ -166,10 +165,10 @@ within about ``4 eps / gap`` relative (``eps`` the unit roundoff,
 the fixed-depth one only if a level landed in that window while the swap
 moved the row's root. The closing ends are always checked exactly.
 
-``closed_form=False`` (or ``REPRO_BW_CLOSED_FORM=0``) demotes every bound
-row to the bisection for cost-drift A/B runs. State arrays are allocated
-at the *compressed* width of each bisected subset (columns with positive
-cap in some row), never at the padded width.
+``closed_form=False`` demotes every bound row to the bisection; tests and
+benchmarks use it as the closed form's reference. State arrays are
+allocated at the *compressed* width of each bisected subset (columns with
+positive cap in some row), never at the padded width.
 
 Memory discipline
 -----------------
@@ -185,7 +184,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import resolved_bw_closed_form
 from repro.obs.recorder import inc
 from repro.types import FloatArray, IntArray
 
@@ -217,7 +215,7 @@ def waterfill_batch(
     *,
     group_ids: IntArray | None = None,
     early_exit: bool = True,
-    closed_form: bool | None = None,
+    closed_form: bool = True,
 ) -> tuple[FloatArray, FloatArray]:
     """Solve the water-fill for a stack of independent rows.
 
@@ -245,9 +243,8 @@ def waterfill_batch(
         see module docstring). ``False`` runs the fixed-depth reference.
     closed_form:
         Solve bandwidth-bound rows by the exact parametric path (see
-        module docstring). ``None`` resolves via
-        :func:`repro.config.resolved_bw_closed_form` (default on);
-        ``False`` demotes every bound row to the bisection.
+        module docstring). ``False`` demotes every bound row to the
+        bisection, the reference tests and benchmarks compare against.
 
     Returns
     -------
@@ -352,8 +349,6 @@ def waterfill_batch(
     act = np.flatnonzero(bisect_rows)
     if act.size == 0:
         return alloc_out, u_out
-
-    use_closed = resolved_bw_closed_form(None, closed_form)
 
     def bisect_rows(
         rows: IntArray,
@@ -796,7 +791,7 @@ def waterfill_batch(
             bw_b, W_b = bw_a[keep], W_a[keep]
         sl_b = slope_of(brows)
         n_cf = 0
-        if use_closed:
+        if closed_form:
             alloc_b, u_b, solved = _solve_bw_bound(
                 om_b, cp_b, sl_b, W_b, bw_b, two_s
             )

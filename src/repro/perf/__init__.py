@@ -2,7 +2,7 @@
 
 See ``DESIGN.md`` ("Performance architecture") for how the pieces fit:
 :mod:`repro.perf.executor` is the shared serial/thread/process execution
-layer used by the per-SBS, distributed, and sweep fan-outs, and
+layer used by the distributed and sweep fan-outs, and
 :mod:`repro.perf.timers` provides the stage timers surfaced in solver
 results and ``BENCH_*.json`` reports.
 """

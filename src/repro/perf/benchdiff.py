@@ -29,16 +29,18 @@ from pathlib import Path
 
 
 #: Top-level fields that are measurement outcomes or runtime *strategy*
-#: (executor choice, incremental re-solve on/off), not problem
-#: configuration. Strategy fields are excluded from the config digest on
-#: purpose: A/B runs of the same problem under different strategies are
-#: exactly the comparisons the wall-time gate exists for.
+#: (executor choice; the ``batched``, ``incremental`` and ``bw_closed_form``
+#: stamps that older records carry), not problem configuration. Strategy
+#: fields are excluded from the config digest on purpose: A/B runs of the
+#: same problem under different strategies are exactly the comparisons the
+#: wall-time gate exists for.
 _RESULT_FIELDS = frozenset(
     {
         "speedup",
         "cpu_count",
         "workers",
         "executor",
+        "batched",
         "incremental",
         "bw_closed_form",
         "costs_identical",

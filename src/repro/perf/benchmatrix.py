@@ -1,17 +1,16 @@
 """Strategy-matrix benchmark — the ``repro bench matrix`` backend.
 
-Runs the Section V-C(1) headline comparison through every cell of the
-(executor x incremental) strategy grid — serial, thread pools and process
-pools at the requested worker counts, each with the incremental re-solve
-layer off and on — and emits one ``repro bench diff``-compatible record:
+Runs the Section V-C(1) headline comparison through every executor cell —
+serial, thread pools and process pools at the requested worker counts —
+and emits one ``repro bench diff``-compatible record:
 
 - every cell's wall-time lands as a top-level ``<cell>_seconds`` field, so
   two matrix records diff cell-by-cell with the ordinary wall-time gate;
-- the cost metrics of the serial/incremental-off baseline are embedded as
-  the ``sweep`` payload, so ``--gate-costs`` works across matrix records;
+- the cost metrics of the serial baseline are embedded as the ``sweep``
+  payload, so ``--gate-costs`` works across matrix records;
 - ``costs_identical`` asserts the determinism contract *within* the run:
   every cell must reproduce the baseline's cost metrics bit for bit
-  (executors and the memo layer select strategy, not semantics).
+  (executors select strategy, not semantics).
 
 Worker counts are clamped to ``[2, 8]`` per the CI matrix contract and to
 the host's core count (a pool wider than the host only measures
@@ -24,7 +23,6 @@ import os
 import time
 from typing import Sequence
 
-from repro.config import RuntimeConfig, resolved_bw_closed_form
 from repro.exceptions import ConfigurationError
 from repro.obs import Recorder, record_into
 
@@ -57,7 +55,7 @@ def matrix_cells(
     """The ``(label, executor spec)`` grid, one entry per strategy cell.
 
     Labels are stable identifiers (``serial``, ``thread4``, ``process2``)
-    used to build the record's ``<label>_inc_<off|on>_seconds`` keys.
+    used to build the record's ``<label>_seconds`` keys.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     ws: list[int] = []
@@ -95,43 +93,37 @@ def run_bench_matrix(
         "beta": beta,
         "horizon": horizon,
         "seeds": list(int(s) for s in seeds),
-        "bw_closed_form": resolved_bw_closed_form(None),
         "cpu_count": cpu_count,
         "cells": [],
     }
     baseline_metrics = None
     costs_identical = True
-    for incremental in (False, True):
-        config = RuntimeConfig(incremental=incremental)
-        for label, spec in cells:
-            recorder = Recorder()
-            started = time.perf_counter()
-            with record_into(recorder):
-                sweep = headline_comparison(
-                    beta=beta,
-                    seeds=seeds,
-                    horizon=horizon,
-                    executor=None if spec == "serial" else spec,
-                    config=config,
-                )
-            elapsed = time.perf_counter() - started
-            key = f"{label}_inc_{'on' if incremental else 'off'}"
-            record[f"{key}_seconds"] = elapsed
-            record["cells"].append(key)
-            metrics = _cost_metrics(sweep)
-            if baseline_metrics is None:
-                # Serial / incremental-off is the first cell visited: it
-                # is the baseline whose sweep payload the record carries.
-                baseline_metrics = metrics
-                record["sweep"] = sweep_to_dict(sweep)
-                record["solve_counters"] = {
-                    name: recorder.metrics.counter(name)
-                    for name in _SOLVE_COUNTERS
-                }
-            elif metrics != baseline_metrics:
-                costs_identical = False
-            if verbose:
-                print(f"  {key:<24} {elapsed:8.2f}s")
+    for label, spec in cells:
+        recorder = Recorder()
+        started = time.perf_counter()
+        with record_into(recorder):
+            sweep = headline_comparison(
+                beta=beta,
+                seeds=seeds,
+                horizon=horizon,
+                executor=None if spec == "serial" else spec,
+            )
+        elapsed = time.perf_counter() - started
+        record[f"{label}_seconds"] = elapsed
+        record["cells"].append(label)
+        metrics = _cost_metrics(sweep)
+        if baseline_metrics is None:
+            # Serial is the first cell visited: it is the baseline whose
+            # sweep payload the record carries.
+            baseline_metrics = metrics
+            record["sweep"] = sweep_to_dict(sweep)
+            record["solve_counters"] = {
+                name: recorder.metrics.counter(name) for name in _SOLVE_COUNTERS
+            }
+        elif metrics != baseline_metrics:
+            costs_identical = False
+        if verbose:
+            print(f"  {label:<24} {elapsed:8.2f}s")
     record["costs_identical"] = costs_identical
     counters = record["solve_counters"]
     # The bound-row accounting identities must hold on the baseline cell:

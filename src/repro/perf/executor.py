@@ -1,10 +1,10 @@
-"""Shared parallel-execution layer for the per-SBS / per-sweep-point fan-outs.
+"""Shared parallel-execution layer for the sweep-point and per-SBS fan-outs.
 
-The joint problem is exactly separable per SBS (Eqs. 5, 6, 8 all sum per
-SBS), the figure sweeps are separable per ``(value, seed, policy)`` point,
-and the distributed solver is separable per sub-problem. All three fan-out
-sites funnel through the :class:`Executor` abstraction defined here so that
-the execution strategy is a deployment choice, not an algorithmic one:
+The figure sweeps are separable per ``(value, seed, policy)`` point, and
+the distributed solver per SBS (Eqs. 5, 6, 8 all sum per SBS). Both
+fan-out sites funnel through the :class:`Executor` abstraction defined here
+so that the execution strategy is a deployment choice, not an algorithmic
+one:
 
 - ``serial`` — plain in-process loop (the default; zero overhead);
 - ``thread`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`

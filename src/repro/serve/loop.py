@@ -78,6 +78,7 @@ from repro.obs.recorder import (
     set_gauge,
 )
 from repro.obs.sketch import WindowedCounter
+from repro.perf.solvecache import SolveCache
 from repro.scenario import Scenario
 from repro.serve.admission import AdmissionQueue
 from repro.serve.replay import (
@@ -209,8 +210,7 @@ class PlanManager:
         x_warm: FloatArray | None = None
         faulted = scenario.faults is not None and not scenario.faults.is_empty
         states = scenario_states(scenario) if faulted else None
-        incremental = self.settings.resolved_incremental()
-        cache = self.settings.make_solve_cache()
+        cache = SolveCache()
         ambient = current_recorder()
         for tau in range(horizon):
             if self.solve_fn is not None:
@@ -254,13 +254,11 @@ class PlanManager:
                 x_prev = realize_slot(
                     x_slot, x_prev, states.slot(tau), scenario.demand.rates[tau], net
                 )
-                x_warm = shift_mu(result.x, 1)
                 # Serve from the caches actually installed, not the plan.
                 x_slot = x_prev
             else:
                 x_prev = x_slot
-                if incremental:
-                    x_warm = shift_mu(result.x, 1)
+            x_warm = shift_mu(result.x, 1)
             mu_warm = shift_mu(result.mu, 1)
             self._commit(tau, x_slot, y_slot)
         record_cache_stats(cache, "serve")

@@ -94,6 +94,18 @@ def _validated_sizes(horizon: int, num_classes: int, num_items: int) -> None:
         raise ConfigurationError(f"num_items must be positive, got {num_items}")
 
 
+def _validated_density_range(
+    density_range: tuple[float, float],
+) -> tuple[float, float]:
+    """The ``(lo, hi)`` of a density range: finite with ``0 <= lo <= hi``."""
+    lo, hi = density_range
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo <= hi):
+        raise ConfigurationError(
+            f"density_range must be finite with 0 <= lo <= hi, got {density_range}"
+        )
+    return float(lo), float(hi)
+
+
 def paper_demand(
     horizon: int,
     num_classes: int,
@@ -140,11 +152,15 @@ def paper_demand(
       range per slot (``random_walk`` mode only).
     """
     _validated_sizes(horizon, num_classes, num_items)
-    lo, hi = density_range
-    if lo < 0 or hi < lo:
-        raise ConfigurationError(f"invalid density range {density_range}")
+    lo, hi = _validated_density_range(density_range)
     if density_mode not in ("random_walk", "per_slot", "static"):
         raise ConfigurationError(f"unknown density_mode {density_mode!r}")
+    if not 0 <= density_jitter <= 1:
+        raise ConfigurationError(f"density_jitter must be in [0, 1], got {density_jitter}")
+    if not (np.isfinite(density_step) and density_step >= 0):
+        raise ConfigurationError(
+            f"density_step must be finite and >= 0, got {density_step}"
+        )
 
     pmf = zipf_mandelbrot_pmf(num_items, alpha=alpha, shift=shift)
     if per_class_preference:
@@ -155,8 +171,6 @@ def paper_demand(
     else:
         per_class_pmf = np.broadcast_to(pmf, (num_classes, num_items))
 
-    if density_jitter < 0 or density_jitter > 1:
-        raise ConfigurationError(f"density_jitter must be in [0, 1], got {density_jitter}")
     if density_mode == "per_slot":
         densities = rng.uniform(lo, hi, size=(horizon, num_classes))
     elif density_mode == "random_walk":
@@ -278,7 +292,7 @@ def shifting_popularity_demand(
     _validated_sizes(horizon, num_classes, num_items)
     if shift_every <= 0:
         raise ConfigurationError(f"shift_every must be positive, got {shift_every}")
-    lo, hi = density_range
+    lo, hi = _validated_density_range(density_range)
     densities = rng.uniform(lo, hi, size=num_classes)
     pmf = zipf_mandelbrot_pmf(num_items, alpha=alpha, shift=shift)
     rates = np.zeros((horizon, num_classes, num_items))

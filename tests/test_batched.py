@@ -1,22 +1,23 @@
 """Equivalence properties of the batched solve core.
 
-The batched kernels (DESIGN.md, "Batched solve core") promise that
-``RuntimeConfig(batched=...)`` selects *granularity, not semantics*: the
+The stacked kernels (DESIGN.md, "Batched solve core") answer every SBS of
+a window at once, and stacking selects *granularity, not semantics*: the
 stacked ``P1`` certificate pass and the all-SBS ``P2`` water-fill must
-reproduce the per-SBS / per-slot loop paths bit-for-bit wherever the paths
-are both exact, and within ``1e-9`` (with equal objectives) where the
-reference itself is approximate. These tests pin that contract with
-randomized multi-SBS instances — uneven class counts included, so the
-zero-cap padding rows of the SBS-major stacking are exercised.
+return, for each SBS, bit-for-bit what a solve of that SBS alone returns
+wherever both are exact, and within ``1e-9`` where the reference itself is
+approximate. These tests pin that contract with randomized multi-SBS
+instances — uneven class counts included, so the zero-cap padding rows of
+the SBS-major stacking are exercised.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import RuntimeConfig
 from repro.core.caching_lp import (
     _objective_single,
     _solve_batched_p1,
@@ -32,25 +33,24 @@ from repro.core.capped import (
     _residual_masks,
     capped_cancel_stack,
 )
+from repro.core.distributed import split_by_sbs
 from repro.core.load_balancing import (
     _project_blocks_capped,
     _solve_p2_fast,
-    _solve_p2_fista,
     _waterfill_reference,
     solve_y_given_x,
 )
-from repro.core.polish import polish_caching
+from repro.core.polish import _candidate_blocks, _cell_moves, _slot_problems
 from repro.core.rounding import optimal_rounding_threshold, round_caching
 from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into
+from repro.optim.projection import project_halfspace_box
 from repro.optim.waterfill import _near_tied_weights, _solve_bw_bound, waterfill_batch
+from repro.perf.executor import resolve_executor
 from repro.perf.solvecache import SolveCache
 
 from p1_oracle import bellman_converged
-
-BATCHED = RuntimeConfig(batched=True)
-LOOPED = RuntimeConfig(batched=False)
 
 
 def _multi_network(rng, *, N, K, C, beta=2.0, bandwidth=3.0, omega_hat=0.0):
@@ -92,8 +92,20 @@ dims = st.tuples(
 )
 
 
+def _assert_stack_matches_split(prob, solve, stacked):
+    """``stacked`` (a solve of the whole problem) equals, bit for bit, the
+    per-SBS solves of :func:`split_by_sbs` sub-problems: each SBS's ``y``
+    block, and the objective summed over SBSs in order."""
+    total = 0.0
+    for n, (sub, classes) in enumerate(split_by_sbs(prob)):
+        alone = solve(sub, n, classes)
+        assert alone.y.tobytes() == stacked.y[:, classes, :].tobytes(), n
+        total += alone.objective
+    assert total == stacked.objective
+
+
 class TestP2Batched:
-    """The all-SBS stacked P2 equals the per-SBS loop, bit for bit."""
+    """The all-SBS stacked P2 equals per-SBS solves, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(dims)
@@ -102,10 +114,11 @@ class TestP2Batched:
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
         mu = _sparse_mu(rng, prob.y_shape)
-        loop = _solve_p2_fast(prob, mu, batched=False)
-        batched = _solve_p2_fast(prob, mu, batched=True)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        _assert_stack_matches_split(
+            prob,
+            lambda sub, n, classes: _solve_p2_fast(sub, mu[:, classes, :]),
+            _solve_p2_fast(prob, mu),
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(dims)
@@ -117,24 +130,34 @@ class TestP2Batched:
         for t in range(T):
             for n in range(N):
                 x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
-        loop = solve_y_given_x(prob, x, config=LOOPED)
-        batched = solve_y_given_x(prob, x, config=BATCHED)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        _assert_stack_matches_split(
+            prob,
+            lambda sub, n, classes: solve_y_given_x(sub, x[:, n : n + 1, :]),
+            solve_y_given_x(prob, x),
+        )
 
-    @settings(max_examples=8, deadline=None)
-    @given(dims)
-    def test_fista_bitwise(self, d):
-        seed, N, K, T, C = d
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 9))
+    def test_fista_bitwise(self, seed, R, J):
+        """FISTA's stacked block projection equals row-by-row calls on each
+        row's own (unpadded) width: rows of uneven width are zero-padded in
+        the stack exactly as SBSs with fewer classes are."""
         rng = np.random.default_rng(seed)
-        # omega_hat > 0 leaves the closed-form fast path: FISTA engages,
-        # where "batched" only changes the projection stacking.
-        prob = _multi_problem(rng, N=N, K=K, T=T, C=C, omega_hat=0.1)
-        mu = _sparse_mu(rng, prob.y_shape, scale=1.0)
-        loop = _solve_p2_fista(prob, mu, batched=False)
-        batched = _solve_p2_fista(prob, mu, batched=True)
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
+        widths = rng.integers(1, J + 1, size=R)
+        v = rng.uniform(-1.0, 2.0, size=(R, J))
+        a = rng.uniform(0.0, 3.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
+        caps = rng.uniform(0.0, 1.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
+        budgets = rng.uniform(0.2, 2.0, size=R)
+        pad = np.arange(J)[None, :] >= widths[:, None]
+        v[pad] = a[pad] = caps[pad] = 0.0
+        stacked = _project_blocks_capped(v, a, budgets, caps)
+        for r, w in enumerate(widths):
+            alone = _project_blocks_capped(
+                v[r : r + 1, :w], a[r : r + 1, :w], budgets[r : r + 1],
+                caps[r : r + 1, :w],
+            )
+            assert alone[0].tobytes() == stacked[r, :w].tobytes(), r
+            assert not stacked[r, w:].any()
 
 
 def _row_objective(alloc, lam, omega, mu, W, scale):
@@ -420,29 +443,23 @@ class TestWaterfillKernel:
 class TestProjectionEarlyExit:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
-    def test_bitwise(self, seed, R, J):
-        rng = np.random.default_rng(seed)
-        v = rng.uniform(-1.0, 2.0, size=(R, J))
-        a = rng.uniform(0.0, 3.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
-        budgets = rng.uniform(0.5, 4.0, size=R)
-        caps = rng.uniform(0.0, 1.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
-        full = _project_blocks_capped(v, a, budgets, caps, early_exit=False)
-        fast = _project_blocks_capped(v, a, budgets, caps, early_exit=True)
-        assert np.array_equal(full, fast)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 9))
     def test_exact_theta_beats_bisection(self, seed, R, J):
         """The event-sweep theta is feasible and never a worse projection
-        (in Euclidean distance) than the bisection reference, beyond the
-        1e-9 envelope."""
+        (in Euclidean distance) than the scalar bisection
+        :func:`project_halfspace_box` — which shares no code with
+        :func:`halfspace_theta_exact` — beyond the 1e-9 envelope."""
         rng = np.random.default_rng(seed)
         v = rng.uniform(-1.0, 2.0, size=(R, J))
         a = rng.uniform(0.0, 3.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
         budgets = rng.uniform(0.2, 2.0, size=R)
         caps = rng.uniform(0.0, 1.0, size=(R, J)) * (rng.random((R, J)) > 0.2)
         exact = _project_blocks_capped(v, a, budgets, caps)
-        ref = _project_blocks_capped(v, a, budgets, caps, closed_form=False)
+        ref = np.stack(
+            [
+                project_halfspace_box(v[r], a[r], float(budgets[r]), hi=caps[r])
+                for r in range(R)
+            ]
+        )
         assert (exact >= -1e-12).all()
         assert (exact <= caps + 1e-9).all()
         usage = np.einsum("rj,rj->r", a, exact)
@@ -478,33 +495,41 @@ class TestP1Batched:
     @settings(max_examples=15, deadline=None)
     @given(dims, st.booleans())
     def test_solve_caching_batched_vs_loop(self, d, with_cache):
+        """``solve_caching`` equals the per-SBS flow run one SBS at a time,
+        with its objectives summed in SBS order."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         net = _multi_network(rng, N=N, K=K, C=C)
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
-        loop = solve_caching(
-            net, mu, x0, config=LOOPED,
-            cache=SolveCache() if with_cache else None,
-        )
         batched = solve_caching(
-            net, mu, x0, config=BATCHED,
-            cache=SolveCache() if with_cache else None,
+            net, mu, x0, cache=SolveCache() if with_cache else None
         )
-        assert np.array_equal(loop.x, batched.x)
-        assert loop.objective == batched.objective
+        prices = class_prices(net, mu)
+        objective = 0.0
+        for n in range(N):
+            xn, obj = _solve_single_sbs_flow(
+                prices[:, n, :], float(net.replacement_costs[n]),
+                int(net.cache_sizes[n]), x0[n],
+            )
+            assert np.array_equal(xn, batched.x[:, n, :]), n
+            objective += obj
+        assert objective == batched.objective
 
     @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
     def test_executors_bitwise(self, rng, executor):
+        """A solve inside an executor's worker (as sweeps and
+        ``run_policies`` run one) returns the in-process bits."""
         net = _multi_network(rng, N=3, K=6, C=2)
         mu = _sparse_mu(rng, (3, net.num_classes, 6), sparsity=0.5)
         x0 = np.zeros((3, 6))
-        base = solve_caching(net, mu, x0, config=BATCHED)
-        other = solve_caching(
-            net, mu, x0, executor=executor, config=BATCHED
+        base = solve_caching(net, mu, x0)
+        others = resolve_executor(executor).map(
+            functools.partial(solve_caching, net, mu), [x0, x0]
         )
-        assert np.array_equal(base.x, other.x)
-        assert base.objective == other.objective
+        for other in others:
+            assert np.array_equal(base.x, other.x)
+            assert base.objective == other.objective
 
     def test_memo_hit_short_circuits_batch(self, rng):
         """A warm cache answers repeats before the batched pass sees them."""
@@ -512,9 +537,9 @@ class TestP1Batched:
         mu = _sparse_mu(rng, (3, net.num_classes, 6))
         x0 = np.zeros((3, 6))
         cache = SolveCache()
-        first = solve_caching(net, mu, x0, config=BATCHED, cache=cache)
+        first = solve_caching(net, mu, x0, cache=cache)
         misses = cache.misses
-        second = solve_caching(net, mu, x0, config=BATCHED, cache=cache)
+        second = solve_caching(net, mu, x0, cache=cache)
         assert cache.misses == misses  # all hits the second time
         assert np.array_equal(first.x, second.x)
         assert first.objective == second.objective
@@ -553,6 +578,9 @@ class TestPolishBatched:
     @settings(max_examples=10, deadline=None)
     @given(dims)
     def test_batched_vs_loop_bitwise(self, d):
+        """Each row of a cell's stacked candidate evaluation equals the
+        fixed-cache oracle for that candidate cache, bit for bit — what the
+        per-move loop would compute."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
@@ -560,11 +588,22 @@ class TestPolishBatched:
         for t in range(T):
             for n in range(N):
                 x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
-        x_l, y_l, cost_l = polish_caching(prob, x, config=LOOPED)
-        x_b, y_b, cost_b = polish_caching(prob, x, config=BATCHED)
-        assert np.array_equal(x_l, x_b)
-        assert np.array_equal(y_l, y_b)
-        assert cost_l.total == cost_b.total
+        for t, sub in enumerate(_slot_problems(prob)):
+            for n in range(N):
+                moves = _cell_moves(x[t, n], C)
+                new_rows = np.tile(x[t, n], (len(moves), 1))
+                for v, (k_out, k_in) in enumerate(moves):
+                    if k_out is not None:
+                        new_rows[v, k_out] = 0.0
+                    if k_in is not None:
+                        new_rows[v, k_in] = 1.0
+                blocks = _candidate_blocks(sub, n, new_rows)
+                classes = prob.network.classes_of_sbs[n]
+                for v, row in enumerate(new_rows):
+                    x_t = x[t].copy()
+                    x_t[n] = row
+                    y = solve_y_given_x(sub, x_t[None]).y
+                    assert blocks[v].tobytes() == y[0, classes, :].tobytes()
 
 
 def _bound_stack(rng, R, J, G=2, bw_frac=0.4):
@@ -762,9 +801,10 @@ class TestBwBoundClosedForm:
     @settings(max_examples=12, deadline=None)
     @given(dims)
     def test_starved_batched_vs_loop_bitwise(self, d):
-        """Batched vs loop bit-identity under bandwidth starvation — the
-        regime where the closed form (not the slack scan) produces the
-        returned rows."""
+        """Stacked vs per-SBS bit-identity under bandwidth starvation — the
+        regime where the bound solve (not the slack scan) produces the
+        returned rows — with the per-SBS bound-row counters summing to the
+        stacked ones."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         prob = _multi_problem(rng, N=N, K=K, T=T, C=C)
@@ -782,39 +822,42 @@ class TestBwBoundClosedForm:
             demand=prob.demand,
         )
         mu = _sparse_mu(rng, starved.y_shape)
-        (loop, loop_c) = _counters(
-            lambda: _solve_p2_fast(starved, mu, batched=False)
-        )
-        (batched, batched_c) = _counters(
-            lambda: _solve_p2_fast(starved, mu, batched=True)
-        )
-        assert np.array_equal(loop.y, batched.y)
-        assert loop.objective == batched.objective
-        assert loop_c == batched_c
+        (stacked, stacked_c) = _counters(lambda: _solve_p2_fast(starved, mu))
+        split_c = dict.fromkeys(_P2_COUNTERS, 0.0)
+
+        def alone(sub, n, classes):
+            sol, counters = _counters(
+                lambda: _solve_p2_fast(sub, mu[:, classes, :])
+            )
+            for name in _P2_COUNTERS:
+                split_c[name] += counters[name]
+            return sol
+
+        _assert_stack_matches_split(starved, alone, stacked)
+        assert split_c == stacked_c
         assert (
-            loop_c["p2_bw_closed_form"] + loop_c["p2_bisection_fallbacks"]
-            == loop_c["p2_bw_bound_rows"]
+            stacked_c["p2_bw_closed_form"] + stacked_c["p2_bisection_fallbacks"]
+            == stacked_c["p2_bw_bound_rows"]
         )
 
     @settings(max_examples=8, deadline=None)
     @given(dims, st.booleans())
     def test_starved_solve_caching_cache_and_executors(self, d, with_cache):
         """The end-to-end solve under starvation is invariant to the memo
-        cache and the executor, bit for bit."""
+        cache and to running in a worker thread, bit for bit."""
         seed, N, K, T, C = d
         rng = np.random.default_rng(seed)
         net = _multi_network(rng, N=N, K=K, C=C, bandwidth=0.4)
         mu = _sparse_mu(rng, (T, net.num_classes, K), sparsity=0.6)
         x0 = np.zeros((N, K))
-        base = solve_caching(net, mu, x0, config=BATCHED)
+        base = solve_caching(net, mu, x0)
         cached = solve_caching(
-            net, mu, x0, config=BATCHED,
-            cache=SolveCache() if with_cache else None,
+            net, mu, x0, cache=SolveCache() if with_cache else None
         )
-        threaded = solve_caching(
-            net, mu, x0, executor="thread:2", config=BATCHED
+        threaded = resolve_executor("thread:2").map(
+            functools.partial(solve_caching, net, mu), [x0, x0]
         )
-        for other in (cached, threaded):
+        for other in (cached, *threaded):
             assert np.array_equal(base.x, other.x)
             assert base.objective == other.objective
 

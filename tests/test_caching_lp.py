@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1_oracle import solve_p1_highs
-from repro.config import RuntimeConfig
 from repro.core.caching_lp import (
     _solve_single_sbs_flow,
     caching_objective,
@@ -170,13 +169,11 @@ def test_flow_and_lp_backends_agree(seed: int, family: str):
     c = class_prices(net, mu)[:, 0, :]
     _, oracle = solve_p1_highs(c, beta, C, x0[0])
     _, raw_flow = _solve_single_sbs_flow(c, beta, C, x0[0], canonical=False)
-    objs = {"oracle": oracle, "flow": raw_flow}
-    for batched in (True, False):
-        sol = solve_caching(net, mu, x0, config=RuntimeConfig(batched=batched))
-        assert set(np.unique(sol.x)) <= {0.0, 1.0}  # Theorem 1: integral
-        assert np.all(sol.x.sum(axis=2) <= C)
-        assert sol.objective == pytest.approx(caching_objective(net, sol.x, mu, x0))
-        objs[f"batched={batched}"] = sol.objective
+    sol = solve_caching(net, mu, x0)
+    assert set(np.unique(sol.x)) <= {0.0, 1.0}  # Theorem 1: integral
+    assert np.all(sol.x.sum(axis=2) <= C)
+    assert sol.objective == pytest.approx(caching_objective(net, sol.x, mu, x0))
+    objs = {"oracle": oracle, "flow": raw_flow, "solve_caching": sol.objective}
     for name, value in objs.items():
         assert value == pytest.approx(oracle, abs=1e-6 * (1 + abs(oracle))), name
 

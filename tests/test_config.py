@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 from repro.config import (
-    BW_CLOSED_FORM_ENV,
     DEFAULT_SERVE_ADMISSION,
     DEFAULT_SERVE_QUEUE_DEPTH,
     DEFAULT_SERVE_RPS,
@@ -19,7 +18,6 @@ from repro.config import (
     SERVE_RPS_ENV,
     SERVE_SLOT_SECONDS_ENV,
     RuntimeConfig,
-    resolved_bw_closed_form,
     resolved_obs_slo,
     resolved_serve_admission,
     resolved_serve_metrics_port,
@@ -41,7 +39,6 @@ def _clean_env(monkeypatch):
         SERVE_SLOT_SECONDS_ENV,
         SERVE_METRICS_PORT_ENV,
         OBS_SLO_ENV,
-        BW_CLOSED_FORM_ENV,
     ):
         monkeypatch.delenv(name, raising=False)
 
@@ -51,8 +48,6 @@ class TestRuntimeConfig:
         config = RuntimeConfig()
         assert config.executor is None
         assert config.workers is None
-        assert config.incremental is None
-        assert config.batched is None
 
     def test_validates_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
@@ -196,28 +191,3 @@ class TestTelemetrySettings:
         with pytest.raises(ConfigurationError):
             resolved_serve_metrics_port(None)
 
-
-class TestWaterfillKnobs:
-    """arg > config > env > default for the P2 kernel knobs."""
-
-    def test_closed_form_default_on(self):
-        assert resolved_bw_closed_form(None) is True
-
-    def test_closed_form_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "0")
-        assert resolved_bw_closed_form(None) is False
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "1")
-        assert resolved_bw_closed_form(None) is True
-
-    def test_closed_form_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "0")
-        assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=True)) is True
-        monkeypatch.setenv(BW_CLOSED_FORM_ENV, "1")
-        assert (
-            resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False)) is False
-        )
-
-    def test_closed_form_arg_beats_config(self):
-        cfg = RuntimeConfig(bw_closed_form=True)
-        assert resolved_bw_closed_form(cfg, False) is False
-        assert resolved_bw_closed_form(RuntimeConfig(bw_closed_form=False), True)

@@ -4,13 +4,14 @@ The executor layer's contract (see ``repro.perf.executor``) is that the
 thread and process backends change wall-clock time only: every fan-out
 site reduces in fixed SBS/point order, so ``x``, ``y`` and every cost
 number match the serial run exactly — not approximately. These tests pin
-that contract on the three fan-out sites: the offline solve (per-SBS
-``P1`` fan-out inside Algorithm 1), the per-policy fan-out of
-``run_policies`` (online RHC and the offline policy), and the distributed
-per-SBS solver.
+that contract on the two fan-out sites — the per-policy fan-out of
+``run_policies`` (online RHC and the offline policy) and the distributed
+per-SBS solver — and on one Algorithm 1 solve run inside a worker.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.core.offline import OfflineOptimal
 from repro.core.online.base import OnlineSolveSettings
 from repro.core.online.rhc import RHC
 from repro.core.primal_dual import solve_primal_dual
+from repro.perf.executor import resolve_executor
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.config import RuntimeConfig
 from repro.scenario import Scenario
@@ -64,9 +66,13 @@ def _assert_same_run(a, b) -> None:
 class TestOfflineDeterminism:
     @pytest.mark.parametrize("spec", PARALLEL_SPECS)
     def test_solve_primal_dual_matches_serial(self, two_sbs_scenario, spec):
+        """An Algorithm 1 solve inside a worker (as sweeps run one)
+        returns the in-process bits."""
         problem = two_sbs_scenario.problem()
-        serial = solve_primal_dual(problem, max_iter=25, executor="serial")
-        parallel = solve_primal_dual(problem, max_iter=25, executor=spec)
+        serial = solve_primal_dual(problem, max_iter=25)
+        [parallel] = resolve_executor(spec).map(
+            functools.partial(solve_primal_dual, max_iter=25), [problem]
+        )
         assert np.array_equal(serial.x, parallel.x)
         assert np.array_equal(serial.y, parallel.y)
         assert serial.cost == parallel.cost

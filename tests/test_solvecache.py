@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.config import RuntimeConfig, resolved_incremental
 from repro.core.caching_lp import solve_caching
 from repro.network.topology import single_cell_network
+from repro.perf.executor import resolve_executor
 from repro.perf.solvecache import SolveCache, p1_digest
 
 
@@ -111,22 +111,6 @@ def test_memo_hits_return_exact_cold_solutions(seed: int):
     assert cache.misses == len(set(order)) * net.num_sbs
 
 
-class TestIncrementalConfig:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-        assert resolved_incremental(None) is True
-
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert resolved_incremental(None) is False
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert resolved_incremental(RuntimeConfig(incremental=True)) is True
-        monkeypatch.delenv("REPRO_INCREMENTAL")
-        assert resolved_incremental(RuntimeConfig(incremental=False)) is False
-
-
 class TestCacheAcrossExecutors:
     def test_counters_and_results_identical_serial_vs_thread(self):
         rng = np.random.default_rng(3)
@@ -136,16 +120,17 @@ class TestCacheAcrossExecutors:
         mus = [rng.uniform(0.0, 6.0, size=(T, 3, 5)) for _ in range(3)]
         mus.append(mus[0])  # one repeat
 
-        outcomes = {}
-        for executor in ("serial", "thread:2"):
+        def run(executor):
+            # The cached sequence runs as one executor task, as a policy's
+            # window sequence does under run_policies.
             cache = SolveCache()
-            results = [
-                solve_caching(net, mu, x_initial, cache=cache, executor=executor)
-                for mu in mus
-            ]
-            outcomes[executor] = (
-                [(r.x.tobytes(), r.objective) for r in results],
-                cache.stats(),
-            )
-        assert outcomes["serial"] == outcomes["thread:2"]
-        assert outcomes["serial"][1]["p1_memo_hits"] == 1
+
+            def sequence(seq):
+                return [solve_caching(net, mu, x_initial, cache=cache) for mu in seq]
+
+            [results] = resolve_executor(executor).map(sequence, [mus])
+            return [(r.x.tobytes(), r.objective) for r in results], cache.stats()
+
+        serial, threaded = run("serial"), run("thread:2")
+        assert serial == threaded
+        assert serial[1]["p1_memo_hits"] == 1

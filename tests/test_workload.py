@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import build_scenario
 from repro.exceptions import ConfigurationError, DimensionMismatchError
 from repro.workload.demand import (
     DemandMatrix,
@@ -144,6 +145,39 @@ class TestGenerators:
             paper_demand(2, 2, 2, rng=rng, density_mode="weird")
         with pytest.raises(ConfigurationError):
             flash_crowd_demand(10, 2, 3, rng=rng, crowd_item=9)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+#: Hostile demand parameters, each of which must raise ConfigurationError
+#: rather than a numpy error or a silent fallback.
+HOSTILE_DEMAND = [
+    (paper_demand, {"density_range": (_NAN, 1.0)}),
+    (paper_demand, {"density_range": (0.0, _INF)}),
+    (paper_demand, {"density_range": (0.0, _NAN)}),
+    (paper_demand, {"density_step": -0.1}),
+    (paper_demand, {"density_step": _INF}),
+    (paper_demand, {"density_jitter": _NAN}),
+    (shifting_popularity_demand, {"density_range": (3.0, 1.0)}),
+    (shifting_popularity_demand, {"density_range": (_NAN, 1.0)}),
+    (build_scenario, {"density_range": (0.0, _INF)}),
+]
+
+
+@pytest.mark.parametrize(
+    ("generator", "kwargs"),
+    HOSTILE_DEMAND,
+    ids=[
+        f"{g.__name__}-" + ",".join(f"{k}={v}" for k, v in kw.items())
+        for g, kw in HOSTILE_DEMAND
+    ],
+)
+def test_hostile_demand_parameters_raise(generator, kwargs):
+    with pytest.raises(ConfigurationError):
+        if generator is build_scenario:
+            build_scenario(seed=1, horizon=4, **kwargs)
+        else:
+            generator(4, 2, 3, rng=np.random.default_rng(0), **kwargs)
 
 
 class TestPredictors:
