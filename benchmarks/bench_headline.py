@@ -46,6 +46,8 @@ _SOLVE_COUNTERS = (
     "p2_bisection_fills",
     "p2_bisection_replayed",
     "p2_bisection_fixed_depth",
+    "polish_moves_scored",
+    "polish_moves_applied",
 )
 
 

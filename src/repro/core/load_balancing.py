@@ -164,7 +164,8 @@ def _solve_p2_fast(
 
     Solves the per-(SBS, slot) residual fixed point (see module docstring)
     with one water-fill call over all ``N x T`` rows. Rows are stacked
-    SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS ``n``); SBSs with
+    SBS-major (rows ``n*T .. (n+1)*T`` belong to SBS ``n``). When every SBS
+    has the same class count each input is one gather; otherwise SBSs with
     fewer (class, item) coordinates are zero-padded on the right, which is
     inert because padded caps are zero. ``W`` is accumulated per SBS with
     one GEMV over that SBS's coordinates, so every per-row quantity
@@ -180,29 +181,40 @@ def _solve_p2_fast(
     j_max = max(counts) * K if N else 0
     R = N * T
 
-    lam_b = np.zeros((R, j_max))
-    mu_b = np.zeros((R, j_max))
-    om_b = np.zeros((R, j_max))
-    caps_b = np.zeros((R, j_max))
-    W_b = np.zeros(R)
-    bw_b = np.zeros(R)
+    bw_b = np.repeat(net.bandwidths, T)
     group = np.repeat(np.arange(N, dtype=np.intp), T)
-    for n in range(N):
-        classes = net.classes_of_sbs[n]
-        J = counts[n] * K
-        rows = slice(n * T, (n + 1) * T)
-        lam = problem.demand[:, classes, :].reshape(T, -1)
-        omega = np.repeat(net.omega_bs[classes], K)
-        lam_b[rows, :J] = lam
-        mu_b[rows, :J] = mu[:, classes, :].reshape(T, -1)
-        om_b[rows, :J] = omega
-        caps_b[rows, :J] = lam
+    if len(set(counts)) == 1:
+        # Equal widths (N = 1 included): one gather per input, no padding.
+        cls = np.array(net.classes_of_sbs)  # (N, C)
+        at = (np.arange(T)[None, :, None], cls[:, None, :])
+        lam_b = problem.demand[at].reshape(R, j_max)
+        mu_b = mu[at].reshape(R, j_max)
+        om_b = np.repeat(np.repeat(net.omega_bs[cls], K, axis=1), T, axis=0)
+        caps_b = lam_b
         if x_caps is not None:
-            caps_b[rows, :J] *= np.broadcast_to(
-                x_caps[:, n, None, :], (T, counts[n], K)
-            ).reshape(T, -1)
-        W_b[rows] = lam @ omega
-        bw_b[rows] = float(net.bandwidths[n])
+            caps_b = lam_b.reshape(N, T, -1, K) * x_caps.transpose(1, 0, 2)[:, :, None]
+            caps_b = caps_b.reshape(R, j_max)
+        W_b = np.concatenate(
+            [lam_b[n * T : (n + 1) * T] @ om_b[n * T] for n in range(N)]
+        )
+    else:
+        lam_b, mu_b, om_b, caps_b = (np.zeros((R, j_max)) for _ in range(4))
+        W_b = np.zeros(R)
+        for n in range(N):
+            classes = net.classes_of_sbs[n]
+            J = counts[n] * K
+            rows = slice(n * T, (n + 1) * T)
+            lam = problem.demand[:, classes, :].reshape(T, -1)
+            omega = np.repeat(net.omega_bs[classes], K)
+            lam_b[rows, :J] = lam
+            mu_b[rows, :J] = mu[:, classes, :].reshape(T, -1)
+            om_b[rows, :J] = omega
+            caps_b[rows, :J] = lam
+            if x_caps is not None:
+                caps_b[rows, :J] *= np.broadcast_to(
+                    x_caps[:, n, None, :], (T, counts[n], K)
+                ).reshape(T, -1)
+            W_b[rows] = lam @ omega
 
     alloc_b, u_b = waterfill_batch(
         lam_b, caps_b, om_b, mu_b, W_b, bw_b, scale, group_ids=group

@@ -19,15 +19,22 @@ the input trajectory.
 Batched evaluation
 ------------------
 On the paper's fast path (quadratic BS cost, ``omega-hat = 0``) the oracle
-decomposes per SBS, and a single-item move touches exactly one SBS. The
-batched evaluation exploits both facts: all candidate rows of a cell are
-pushed through one :func:`repro.optim.waterfill.waterfill_batch` call,
-each candidate's full-slot ``y`` is assembled from the cached current-slot
-oracle plus the candidate's block, and moves are then scanned in
-first-improvement order. Every assembled ``y`` and operating cost is
-bit-identical to what the per-move oracle would have produced. Problems
-off the fast path (``omega-hat > 0`` or a non-quadratic cost) evaluate
-each move through the oracle instead.
+decomposes per SBS and a single-item move touches one SBS, so a cell's
+``V`` moves are scored together. **Own-column fills:** one
+:func:`repro.optim.waterfill.waterfill_batch` call fills every candidate on
+its own routed columns — its cached items under each class of the SBS, in
+column order, zero-capped up to the widest candidate; zero-cap columns are
+inert in the kernel, so each block is bitwise the per-move oracle's.
+**Array scan:** :func:`repro.network.costs.slot_costs` scores each
+candidate's operating cost from its block against the slot's per-SBS loads
+(only SBS ``n``'s changes), switching deltas come from the candidate rows,
+and the first move whose delta is below ``-tol`` is applied before the scan
+moves to the next cell. Every move of a cell is scored against the same
+pre-move state, so that is the move the per-move loop applies. Per cell the
+scan holds ``O(V (C K + N))`` floats, never a ``(V, M, K)`` stack. Problems
+off the fast path (``omega-hat > 0`` or a non-quadratic cost) keep the
+per-move oracle loop, the array scan's reference. ``polish_moves_scored``
+and ``polish_moves_applied`` count the moves.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ import numpy as np
 from repro.core.load_balancing import _uses_fast_path, solve_y_given_x
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
-from repro.network.costs import CostBreakdown, bs_operating_cost, sbs_operating_cost
+from repro.network.costs import CostBreakdown, slot_costs
+from repro.obs.recorder import inc
 from repro.optim.waterfill import waterfill_batch
 from repro.types import FloatArray
 
@@ -52,81 +60,72 @@ def _slot_problems(problem: JointProblem) -> list[JointProblem]:
     ]
 
 
-def _operating_cost(sub: JointProblem, x_t: FloatArray) -> tuple[float, FloatArray]:
-    y = solve_y_given_x(sub, x_t[None]).y
-    return sub.cost(x_t[None], y).operating, y
-
-
-def _switch_delta(
-    problem: JointProblem,
-    x: FloatArray,
-    t: int,
-    n: int,
-    new_row: FloatArray,
-) -> float:
-    """Switching-cost change of replacing ``x[t, n]`` by ``new_row``."""
+def _switch_deltas(
+    problem: JointProblem, x: FloatArray, t: int, n: int, new_rows: FloatArray
+) -> FloatArray:
+    """Switching-cost change of replacing ``x[t, n]`` by each of ``new_rows``."""
     beta = float(problem.network.replacement_costs[n])
     prev = problem.x_initial[n] if t == 0 else x[t - 1, n]
     old_row = x[t, n]
-    delta = beta * float(
-        np.clip(new_row - prev, 0, None).sum() - np.clip(old_row - prev, 0, None).sum()
+    delta = beta * (
+        np.clip(new_rows - prev, 0, None).sum(axis=-1)
+        - np.clip(old_row - prev, 0, None).sum()
     )
     if t + 1 < x.shape[0]:
         nxt = x[t + 1, n]
-        delta += beta * float(
-            np.clip(nxt - new_row, 0, None).sum() - np.clip(nxt - old_row, 0, None).sum()
+        delta = delta + beta * (
+            np.clip(nxt - new_rows, 0, None).sum(axis=-1)
+            - np.clip(nxt - old_row, 0, None).sum()
         )
     return delta
 
 
-def _cell_moves(
-    row: FloatArray, cap: int
-) -> list[tuple[int | None, int | None]]:
-    cached = np.flatnonzero(row > 0.5)
-    empty = np.flatnonzero(row < 0.5)
-    moves: list[tuple[int | None, int | None]] = []
-    if len(cached) < cap:
-        moves.extend((None, int(k_in)) for k_in in empty)
-    moves.extend((int(k_out), int(k_in)) for k_out in cached for k_in in empty)
-    moves.extend((int(k_out), None) for k_out in cached)
-    return moves
+def _cell_moves(row: FloatArray, cap: int) -> FloatArray:
+    """Candidate rows of one cell, ``(V, K)``, in scan order: every insert
+    (while the cache has room), then every (out, in) swap, then every evict."""
+    eye = np.eye(row.size)
+    into = eye[row < 0.5]
+    evicts = row - eye[row > 0.5]
+    swaps = (evicts[:, None, :] + into).reshape(-1, row.size)
+    inserts = row + into if len(evicts) < cap else into[:0]
+    return np.concatenate([inserts, swaps, evicts])
 
 
-def _candidate_blocks(
-    sub: JointProblem,
-    n: int,
-    new_rows: FloatArray,
-) -> FloatArray:
+def _candidate_blocks(sub: JointProblem, n: int, new_rows: FloatArray) -> FloatArray:
     """Oracle ``y`` blocks of SBS ``n`` for a stack of candidate cache rows.
 
-    ``new_rows`` has shape ``(V, K)``; returns ``(V, J)`` with ``J`` the
-    flattened (class, item) coordinates of SBS ``n`` — each row bitwise
-    equal to what :func:`solve_y_given_x` computes for that cache row on
-    the fast path (``mu = 0`` makes every row a single greedy fill).
+    ``new_rows`` has shape ``(V, K)``; returns ``(V, C_n, K)`` over SBS
+    ``n``'s classes — each block bitwise what :func:`solve_y_given_x`
+    computes for that cache row on the fast path (``mu = 0`` makes every row
+    a single greedy fill), though each is filled on its own routed columns.
     """
     net = sub.network
     K = net.num_items
     classes = net.classes_of_sbs[n]
-    C = len(classes)
     V = new_rows.shape[0]
     lam_row = sub.demand[:, classes, :].reshape(1, -1)[0]  # (J,)
     omega = np.repeat(net.omega_bs[classes], K)
-    per_class_caps = np.broadcast_to(new_rows[:, None, :], (V, C, K)).reshape(V, -1)
-    caps_b = lam_row[None, :] * per_class_caps
-    lam_b = np.broadcast_to(lam_row, (V, lam_row.size))
-    om_b = np.broadcast_to(omega, (V, omega.size))
     W_val = float(lam_row @ omega)
+    cached = new_rows > 0.5
+    width = int(cached.sum(axis=1).max())
+    # Cached items first, in item order; the rest pad out to ``width``.
+    items = np.argsort(~cached, axis=1, kind="stable")[:, :width]
+    live = np.tile(np.take_along_axis(cached, items, axis=1), len(classes))
+    cols = (np.arange(len(classes))[:, None] * K + items[:, None, :]).reshape(V, -1)
+    lam_b = np.where(live, lam_row[cols], 0.0)
     alloc_b, _ = waterfill_batch(
-        np.ascontiguousarray(lam_b),
-        caps_b,
-        np.ascontiguousarray(om_b),
-        np.zeros((V, lam_row.size)),
+        lam_b,
+        lam_b,  # caps: lam * 1 on a cached column, 0 on padding
+        omega[cols],
+        np.zeros(lam_b.shape),
         np.full(V, W_val),
         np.full(V, float(net.bandwidths[n])),
         sub.bs_cost.scale,  # type: ignore[union-attr]
     )
+    blocks = np.zeros((V, lam_row.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lam_b > 0, alloc_b / lam_b, 0.0)
+        blocks[np.arange(V)[:, None], cols] = np.where(lam_b > 0, alloc_b / lam_b, 0.0)
+    return blocks.reshape(V, len(classes), K)
 
 
 def polish_caching(
@@ -147,80 +146,52 @@ def polish_caching(
     if x.shape != problem.x_shape:
         raise ConfigurationError(f"x shape {x.shape} != {problem.x_shape}")
     net = problem.network
-    T = problem.horizon
-    K = net.num_items
     batched = _uses_fast_path(problem)
     slots = _slot_problems(problem)
-    slot_y: list[FloatArray] = []
-    slot_cost = np.zeros(T)
-    for t in range(T):
-        slot_cost[t], y_t = _operating_cost(slots[t], x[t])
-        slot_y.append(y_t)
+    costs = dict(bs_cost=problem.bs_cost, sbs_cost=problem.sbs_cost)
+    ys = [solve_y_given_x(sub, x[t][None]).y for t, sub in enumerate(slots)]
+    now = slot_costs(net, problem.demand, np.concatenate(ys), **costs)
+    slot_cost, loads = now.bs_cost + now.sbs_cost, now.loads
 
     for _ in range(max_passes):
         improved = False
-        for t in range(T):
+        for t, sub in enumerate(slots):
             for n in range(net.num_sbs):
                 cap = int(net.cache_sizes[n])
-                if cap == 0:
+                moves = _cell_moves(x[t, n], cap)
+                if cap == 0 or not len(moves):
                     continue
-                row = x[t, n]
-                moves = _cell_moves(row, cap)
-                if not moves:
-                    continue
+                inc("polish_moves_scored", len(moves))
+                # Every move of a cell is scored against the same pre-move
+                # state, so both branches apply the same first improvement.
+                switch = _switch_deltas(problem, x, t, n, moves)
+                applied = None
                 if batched:
-                    new_rows = np.tile(row, (len(moves), 1))
-                    for v, (k_out, k_in) in enumerate(moves):
-                        if k_out is not None:
-                            new_rows[v, k_out] = 0.0
-                        if k_in is not None:
-                            new_rows[v, k_in] = 1.0
-                    blocks = _candidate_blocks(slots[t], n, new_rows)
-                    classes = net.classes_of_sbs[n]
-                    sub = slots[t]
-                    for v, (k_out, k_in) in enumerate(moves):
-                        y_move = slot_y[t].copy()
-                        y_move[:, classes, :] = blocks[v].reshape(
-                            1, len(classes), K
-                        )
-                        new_op = bs_operating_cost(
-                            net, sub.demand[0], y_move[0], sub.bs_cost
-                        ) + sbs_operating_cost(
-                            net, sub.demand[0], y_move[0], sub.sbs_cost
-                        )
-                        delta = (new_op - slot_cost[t]) + _switch_delta(
-                            problem, x, t, n, new_rows[v]
-                        )
-                        if delta < -tol:
-                            # First improvement per cell, in the order the
-                            # per-move loop below scans them.
-                            x[t, n] = new_rows[v]
-                            slot_cost[t] = new_op
-                            slot_y[t] = y_move
-                            improved = True
-                            break
-                    continue
-                for k_out, k_in in moves:
-                    new_row = row.copy()
-                    if k_out is not None:
-                        new_row[k_out] = 0.0
-                    if k_in is not None:
-                        new_row[k_in] = 1.0
-                    x_t = x[t].copy()
-                    x_t[n] = new_row
-                    new_op, y_new = _operating_cost(slots[t], x_t)
-                    delta = (new_op - slot_cost[t]) + _switch_delta(
-                        problem, x, t, n, new_row
+                    lam = sub.demand[0, net.classes_of_sbs[n]]
+                    blocks = _candidate_blocks(sub, n, moves)
+                    cand = slot_costs(
+                        net, lam, blocks, sbs=n, base=loads[:, t], **costs
                     )
-                    if delta < -tol:
-                        # First improvement per cell: apply and move on (the
-                        # remaining candidate moves were built for the old
-                        # row and are no longer valid).
-                        x[t, n] = new_row
-                        slot_cost[t] = new_op
-                        slot_y[t] = y_new
-                        improved = True
-                        break
+                    new_op = cand.bs_cost + cand.sbs_cost
+                    hits = np.flatnonzero((new_op - slot_cost[t]) + switch < -tol)
+                    if hits.size:
+                        applied = hits[0]
+                        slot_cost[t] = new_op[applied]
+                        loads[:, t] = cand.loads[:, applied]
+                else:  # the per-move oracle; ``loads`` feed the fast path only
+                    for v, new_row in enumerate(moves):
+                        x_t = x[t].copy()[None]
+                        x_t[0, n] = new_row
+                        op = sub.cost(x_t, solve_y_given_x(sub, x_t).y).operating
+                        if (op - slot_cost[t]) + switch[v] < -tol:
+                            applied, slot_cost[t] = v, op
+                            break
+                if applied is not None:
+                    # First improvement per cell: the remaining candidates
+                    # were built for the old row, so move on.
+                    x[t, n] = moves[applied]
+                    improved = True
+                    inc("polish_moves_applied")
         if not improved:
             break
 

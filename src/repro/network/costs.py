@@ -13,6 +13,9 @@ The per-slot system cost has three components (paper Eqs. 5, 6, 8):
 The quadratic shape is the paper's representative choice; any non-decreasing
 convex function of the per-SBS aggregate is admissible, so the shape is
 pluggable through :class:`OperatingCost`.
+
+The scalar functions score one slot; :func:`slot_costs` scores a stack of
+slots, or one slot's candidates, in one pass with the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from repro.exceptions import DimensionMismatchError
 from repro.network.topology import Network
-from repro.types import FloatArray
+from repro.types import FloatArray, IntArray
 
 
 class OperatingCost(Protocol):
@@ -200,6 +203,100 @@ class CostBreakdown:
         return CostBreakdown(0.0, 0.0, 0.0, 0)
 
 
+@dataclass(frozen=True)
+class SlotCosts:
+    """Per-slot terms of a stack, each shape ``(S,)``, and the per-SBS loads
+    behind them, ``(2, S, N)`` with the BS loads first."""
+
+    bs_cost: FloatArray
+    sbs_cost: FloatArray
+    replacement: FloatArray
+    replacements: IntArray
+    loads: FloatArray
+
+    def total(self) -> CostBreakdown:
+        """The slots' sum, folded left to right like adding breakdowns."""
+        terms = (self.bs_cost, self.sbs_cost, self.replacement, self.replacements)
+        slots = map(CostBreakdown, *(a.tolist() for a in terms))
+        return sum(slots, CostBreakdown.zero())
+
+
+def _evaluate_rows(cost: OperatingCost | None, loads: FloatArray) -> FloatArray:
+    """``cost.evaluate`` of each row of ``loads``; the quadratic in one pass."""
+    cost = cost or QuadraticOperatingCost()
+    if type(cost) is QuadraticOperatingCost:
+        return cost.scale * np.square(loads).sum(axis=-1)
+    return np.array([cost.evaluate(row) for row in loads], dtype=np.float64)
+
+
+def slot_costs(
+    network: Network,
+    demand: FloatArray,
+    y: FloatArray,
+    x: FloatArray | None = None,
+    x_prev: FloatArray | None = None,
+    *,
+    bs_cost: OperatingCost | None = None,
+    sbs_cost: OperatingCost | None = None,
+    sbs: int | None = None,
+    base: FloatArray | None = None,
+) -> SlotCosts:
+    """Operating and replacement terms of a stack, in one pass.
+
+    Slots: ``demand`` and ``y`` are ``(S, M, K)``, ``x`` is ``(S, N, K)``
+    after ``x_prev`` (no ``x``: zero replacement). With ``sbs=n``, one
+    slot's candidates: ``y`` is ``(S, C_n, K)`` over ``n``'s classes,
+    ``demand`` their ``(C_n, K)`` rows, and the other SBSs keep ``base``,
+    the slot's ``(2, N)`` loads. Each entry is bitwise the scalar functions'
+    value: per-row sums, classes added into their SBS in index order as
+    ``np.bincount`` does, the same ``np.dot``. Fold slots with
+    :meth:`SlotCosts.total`: a pairwise ``np.sum`` moves bits once S > 8.
+    """
+    classes = (
+        np.arange(network.num_classes) if sbs is None else network.classes_of_sbs[sbs]
+    )
+    shape = (classes.size, network.num_items)
+    if y.ndim != 3 or y.shape[1:] != shape or demand.shape[-2:] != shape:
+        raise DimensionMismatchError(
+            f"y has shape {y.shape}, demand {demand.shape}, expected (S, *{shape})"
+        )
+    S, N = y.shape[0], network.num_sbs
+    part = np.subtract(1.0, y)  # (1 - y) * demand, then y * demand: one buffer
+    part *= demand
+    per_class = np.stack(
+        [
+            network.omega_bs[classes] * part.sum(axis=-1),
+            network.omega_sbs[classes] * np.multiply(y, demand, out=part).sum(axis=-1),
+        ]
+    )
+    bins = (np.arange(2 * S)[:, None] * N + network.class_sbs[classes]).ravel()
+    loads = np.bincount(bins, per_class.ravel(), 2 * S * N).reshape(2, S, N)
+    if sbs is not None:
+        others = np.arange(N) != sbs
+        loads[:, :, others] = base[:, None, others]
+    replacement, replacements = np.zeros(S), np.zeros(S, dtype=np.int64)
+    if x is not None:
+        expected = (N, network.num_items)
+        if x.shape != (S, *expected) or x_prev.shape != expected:
+            raise DimensionMismatchError(
+                f"x has shape {x.shape}, x_prev {x_prev.shape}, expected "
+                f"(S, N, K) = {(S, *expected)}"
+            )
+        step = x - np.concatenate([x_prev[None], x])[:-1]
+        inserted = np.clip(step, 0.0, None).sum(axis=-1)
+        replacement = np.array(
+            [np.dot(network.replacement_costs, row) for row in inserted], np.float64
+        )
+        replacements = np.count_nonzero(step > 1e-6, axis=(1, 2))
+    return SlotCosts(
+        _evaluate_rows(bs_cost, loads[0]),
+        _evaluate_rows(sbs_cost, loads[1]),
+        replacement,
+        replacements,
+        loads,
+    )
+
+
 def total_cost(
     network: Network,
     demand: FloatArray,
@@ -234,13 +331,6 @@ def total_cost(
         if x_initial is None
         else x_initial
     )
-    out = CostBreakdown.zero()
-    for t in range(T):
-        out = out + CostBreakdown(
-            bs_operating_cost(network, demand[t], y[t], bs_cost),
-            sbs_operating_cost(network, demand[t], y[t], sbs_cost),
-            replacement_cost(network, x[t], prev),
-            replacement_count(x[t], prev),
-        )
-        prev = x[t]
-    return out
+    return slot_costs(
+        network, demand, y, x, prev, bs_cost=bs_cost, sbs_cost=sbs_cost
+    ).total()

@@ -37,13 +37,7 @@ from repro.core.load_balancing import solve_y_given_x
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
 from repro.faults.degrade import realize_caching, scenario_states
-from repro.network.costs import (
-    CostBreakdown,
-    bs_operating_cost,
-    replacement_cost,
-    replacement_count,
-    sbs_operating_cost,
-)
+from repro.network.costs import CostBreakdown, slot_costs
 from repro.obs.recorder import current_recorder, emit
 from repro.scenario import PolicyPlan, Scenario, validate_plan
 from repro.types import FloatArray
@@ -115,21 +109,23 @@ def evaluate_plan(
 
     net = scenario.network
     T = scenario.horizon
-    per_slot_total = np.zeros(T)
-    per_slot_repl = np.zeros(T)
-    totals = CostBreakdown.zero()
-    prev = scenario.x_initial
+    slots = slot_costs(
+        net,
+        scenario.demand.rates,
+        y,
+        x,
+        scenario.x_initial,
+        bs_cost=scenario.bs_cost,
+        sbs_cost=scenario.sbs_cost,
+    )
+    per_slot_total = slots.bs_cost + slots.sbs_cost + slots.replacement
     # Telemetry is gated once, not per emit: the per-slot event fields
     # (churn counts, reroute detection) cost numpy work we skip entirely
     # when no recorder is ambient.
-    recording = current_recorder() is not None
-    fault_mask = (
-        scenario.faults.active_mask(T)
-        if recording and faulted
-        else None
-    )
-    for t in range(T):
-        if recording:
+    if current_recorder() is not None:
+        fault_mask = scenario.faults.active_mask(T) if faulted else None
+        for t in range(T):
+            prev = x[t - 1] if t else scenario.x_initial
             emit(
                 "slot_start",
                 slot=t,
@@ -160,33 +156,22 @@ def evaluate_plan(
                         sbs=int(n),
                         load=rerouted,
                     )
-        slot = CostBreakdown(
-            bs_operating_cost(net, scenario.demand.rates[t], y[t], scenario.bs_cost),
-            sbs_operating_cost(net, scenario.demand.rates[t], y[t], scenario.sbs_cost),
-            replacement_cost(net, x[t], prev),
-            replacement_count(x[t], prev),
-        )
-        per_slot_total[t] = slot.total
-        per_slot_repl[t] = slot.replacements
-        totals = totals + slot
-        prev = x[t]
-        if recording:
             emit(
                 "slot_end",
                 slot=t,
                 policy=policy_name,
-                total=float(slot.total),
-                bs=float(slot.bs_cost),
-                sbs=float(slot.sbs_cost),
-                replacement=float(slot.replacement),
-                replacements=int(slot.replacements),
+                total=float(per_slot_total[t]),
+                bs=float(slots.bs_cost[t]),
+                sbs=float(slots.sbs_cost[t]),
+                replacement=float(slots.replacement[t]),
+                replacements=int(slots.replacements[t]),
             )
 
     return RunResult(
         policy=policy_name,
-        cost=totals,
+        cost=slots.total(),
         per_slot_total=per_slot_total,
-        per_slot_replacements=per_slot_repl,
+        per_slot_replacements=slots.replacements.astype(np.float64),
         x=x,
         y=y,
         solves=plan.solves,

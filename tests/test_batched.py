@@ -590,13 +590,7 @@ class TestPolishBatched:
                 x[t, n, rng.choice(K, size=C, replace=False)] = 1.0
         for t, sub in enumerate(_slot_problems(prob)):
             for n in range(N):
-                moves = _cell_moves(x[t, n], C)
-                new_rows = np.tile(x[t, n], (len(moves), 1))
-                for v, (k_out, k_in) in enumerate(moves):
-                    if k_out is not None:
-                        new_rows[v, k_out] = 0.0
-                    if k_in is not None:
-                        new_rows[v, k_in] = 1.0
+                new_rows = _cell_moves(x[t, n], C)
                 blocks = _candidate_blocks(sub, n, new_rows)
                 classes = prob.network.classes_of_sbs[n]
                 for v, row in enumerate(new_rows):

@@ -16,9 +16,10 @@ from repro.network.costs import (
     replacement_cost,
     replacement_count,
     sbs_operating_cost,
+    slot_costs,
     total_cost,
 )
-from repro.network.topology import single_cell_network
+from repro.network.topology import Network, single_cell_network
 
 
 def _net(M=3, K=4, omega=None, omega_hat=0.0):
@@ -155,6 +156,130 @@ class TestCostBreakdown:
         net = _net(M=1, K=2, omega=[1.0])
         with pytest.raises(DimensionMismatchError):
             total_cost(net, np.ones((2, 1, 2)), np.zeros((1, 1, 2)), np.zeros((2, 1, 2)))
+
+
+    def test_total_cost_shape_errors(self):
+        """A wrong horizon, ``y`` width or ``x_initial`` shape still raises
+        through the stacked pass."""
+        net = _net(M=1, K=2, omega=[1.0])
+        lam, x, y = np.ones((2, 1, 2)), np.zeros((2, 1, 2)), np.zeros((2, 1, 2))
+        with pytest.raises(DimensionMismatchError):
+            total_cost(net, lam, x[:1], y)
+        with pytest.raises(DimensionMismatchError):
+            total_cost(net, lam, x, np.zeros((2, 1, 3)))
+        with pytest.raises(DimensionMismatchError):
+            total_cost(net, lam, x, y, x_initial=np.zeros((1, 3)))
+
+
+class _CubicCost:
+    """A custom shape outside the built-ins: scored one row at a time."""
+
+    def evaluate(self, aggregates):
+        return float(np.sum(aggregates**3))
+
+    def derivative(self, aggregates):
+        return 3.0 * aggregates**2
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _random_network(rng, N: int, K: int, omega_hat: bool) -> Network:
+    """``N`` SBSs with 1-3 classes each, classes shuffled across SBSs so an
+    SBS's classes are not contiguous."""
+    from repro.network import ContentCatalog, MUClass, SmallBaseStation
+
+    owners = rng.permutation(np.repeat(np.arange(N), rng.integers(1, 4, N)))
+    classes = tuple(
+        MUClass(
+            m,
+            int(n),
+            float(rng.uniform(0.1, 1.0)),
+            float(rng.uniform(0.0, 0.5)) if omega_hat else 0.0,
+        )
+        for m, n in enumerate(owners)
+    )
+    sbss = tuple(
+        SmallBaseStation(n, 2, 4.0, float(rng.uniform(0.1, 5.0))) for n in range(N)
+    )
+    return Network(ContentCatalog(K), sbss, classes)
+
+
+_SHAPES = (QuadraticOperatingCost(1.7), LinearOperatingCost(0.3), _CubicCost(), None)
+
+
+class TestSlotCosts:
+    """``slot_costs`` equals the per-slot scalar functions byte for byte, and
+    ``total_cost`` equals their slot-by-slot fold."""
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        N, K = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+        T = int(rng.integers(1, 13))
+        net = _random_network(rng, N, K, omega_hat=bool(seed % 2))
+        demand = rng.uniform(0.0, 3.0, (T, net.num_classes, K))
+        y = rng.uniform(0.0, 1.0, demand.shape)
+        x = rng.uniform(0.0, 1.0, (T, N, K))  # fractional, as relaxed iterates
+        x[rng.random(x.shape) < 0.4] = 0.0
+        x_prev = (rng.random((N, K)) < 0.5).astype(float)
+        bs, sbs = _SHAPES[seed % 4], _SHAPES[(seed // 4) % 4]
+        return net, demand, y, x, x_prev, bs, sbs
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_stack_of_slots_bitwise(self, seed):
+        net, demand, y, x, x_prev, bs, sbs = self._case(seed)
+        got = slot_costs(net, demand, y, x, x_prev, bs_cost=bs, sbs_cost=sbs)
+        ref = CostBreakdown.zero()
+        prev = x_prev
+        for t in range(demand.shape[0]):
+            slot = CostBreakdown(
+                bs_operating_cost(net, demand[t], y[t], bs),
+                sbs_operating_cost(net, demand[t], y[t], sbs),
+                replacement_cost(net, x[t], prev),
+                replacement_count(x[t], prev),
+            )
+            assert _bits(got.bs_cost[t]) == _bits(slot.bs_cost)
+            assert _bits(got.sbs_cost[t]) == _bits(slot.sbs_cost)
+            assert _bits(got.replacement[t]) == _bits(slot.replacement)
+            assert got.replacements[t] == slot.replacements
+            assert got.loads[0, t].tobytes() == aggregate_bs_load(
+                net, demand[t], y[t]
+            ).tobytes()
+            ref = ref + slot
+            prev = x[t]
+        total = total_cost(
+            net, demand, x, y, x_initial=x_prev, bs_cost=bs, sbs_cost=sbs
+        )
+        for field in ("bs_cost", "sbs_cost", "replacement"):
+            assert _bits(getattr(total, field)) == _bits(getattr(ref, field))
+        assert total.replacements == ref.replacements
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_slots_candidates_bitwise(self, seed):
+        """Candidates that differ in one SBS's block score like full slots."""
+        net, demand, y, _x, _xp, bs, sbs = self._case(seed)
+        rng = np.random.default_rng(seed + 1000)
+        lam, y_t = demand[0], y[0]
+        base = slot_costs(net, lam[None], y_t[None]).loads[:, 0]
+        for n in range(net.num_sbs):
+            classes = net.classes_of_sbs[n]
+            blocks = rng.uniform(0.0, 1.0, (5, classes.size, net.num_items))
+            got = slot_costs(
+                net, lam[classes], blocks, sbs=n, base=base, bs_cost=bs, sbs_cost=sbs
+            )
+            for v, block in enumerate(blocks):
+                full = y_t.copy()
+                full[classes] = block
+                assert _bits(got.bs_cost[v]) == _bits(
+                    bs_operating_cost(net, lam, full, bs)
+                )
+                assert _bits(got.sbs_cost[v]) == _bits(
+                    sbs_operating_cost(net, lam, full, sbs)
+                )
+                assert got.loads[0, v].tobytes() == aggregate_bs_load(
+                    net, lam, full
+                ).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -168,6 +168,64 @@ class TestSolveYGivenX:
             assert (prob.demand[t] * sol.y[t]).sum() <= 2.0 + 1e-6
 
 
+def _padded_stack(problem, mu, x_caps):
+    """Kernel inputs of the fast path built SBS by SBS into zero-padded
+    arrays: the reference the gathered assembly must match byte for byte."""
+    net, T = problem.network, problem.horizon
+    K, N = net.num_items, net.num_sbs
+    counts = [len(c) for c in net.classes_of_sbs]
+    R, j_max = N * T, max(counts) * K
+    lam_b, mu_b, om_b, caps_b = (np.zeros((R, j_max)) for _ in range(4))
+    W_b, bw_b = np.zeros(R), np.zeros(R)
+    for n, classes in enumerate(net.classes_of_sbs):
+        J, rows = counts[n] * K, slice(n * T, (n + 1) * T)
+        lam = problem.demand[:, classes, :].reshape(T, -1)
+        omega = np.repeat(net.omega_bs[classes], K)
+        lam_b[rows, :J], caps_b[rows, :J] = lam, lam
+        mu_b[rows, :J] = mu[:, classes, :].reshape(T, -1)
+        om_b[rows, :J] = omega
+        if x_caps is not None:
+            caps_b[rows, :J] *= np.broadcast_to(
+                x_caps[:, n, None, :], (T, counts[n], K)
+            ).reshape(T, -1)
+        W_b[rows] = lam @ omega
+        bw_b[rows] = float(net.bandwidths[n])
+    return lam_b, caps_b, om_b, mu_b, W_b, bw_b
+
+
+@pytest.mark.parametrize("N,classes_per_sbs", [(1, 6), (3, 2), (4, 3)])
+def test_p2_fast_assembly_bytes(N, classes_per_sbs, monkeypatch):
+    """Equal-width networks gather the kernel inputs in one pass; every
+    input is byte-equal to the SBS-by-SBS padded assembly."""
+    import repro.core.load_balancing as lb
+    from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
+
+    rng = np.random.default_rng(N)
+    K, T = 6, 5
+    owners = rng.permutation(np.repeat(np.arange(N), classes_per_sbs))
+    net = Network(
+        ContentCatalog(K),
+        tuple(SmallBaseStation(n, 2, float(rng.uniform(1, 5)), 1.0) for n in range(N)),
+        tuple(
+            MUClass(m, int(n), float(rng.uniform(0.1, 1.0)))
+            for m, n in enumerate(owners)
+        ),
+    )
+    prob = JointProblem(net, paper_demand(T, len(owners), K, rng=rng).rates)
+    mu = rng.uniform(0, 3, prob.y_shape) * (rng.random(prob.y_shape) < 0.5)
+    x = (rng.random(prob.x_shape) < 0.5).astype(float)
+    seen = []
+    kernel = lb.waterfill_batch
+    monkeypatch.setattr(
+        lb, "waterfill_batch", lambda *a, **k: seen.append(a) or kernel(*a, **k)
+    )
+    for mu_in, x_caps in ((mu, None), (np.zeros(prob.y_shape), x)):
+        lb._solve_p2_fast(prob, mu_in, x_caps=x_caps)
+        got, want = seen.pop()[:6], _padded_stack(prob, mu_in, x_caps)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_p2_fast_agrees_with_fista_property(seed: int):

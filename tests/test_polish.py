@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.polish as polish_module
 from repro.core.exhaustive import solve_exhaustive
 from repro.core.load_balancing import solve_y_given_x
 from repro.core.polish import polish_caching
 from repro.core.problem import JointProblem
 from repro.exceptions import ConfigurationError
+from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.network.topology import single_cell_network
+from repro.obs import Recorder, record_into
 from repro.workload.demand import paper_demand
 
 
@@ -80,6 +83,72 @@ class TestPolish:
         x2, _, c2 = polish_caching(prob, x1, max_passes=2)
         assert c2.total == pytest.approx(c1.total, abs=1e-9)
         np.testing.assert_allclose(x2, x1)
+
+
+def _multi_cell(seed: int, N: int, beta: float):
+    """``N`` SBSs with 2-4 classes each and a random feasible start ``x``
+    (some cells below capacity, so inserts are scored too)."""
+    rng = np.random.default_rng(seed)
+    K, T = 7, 4
+    owners = rng.permutation(np.repeat(np.arange(N), rng.integers(2, 5, N)))
+    classes = tuple(
+        MUClass(m, int(n), float(rng.uniform(0.1, 1.0)))
+        for m, n in enumerate(owners)
+    )
+    caps = rng.integers(1, 4, N)
+    net = Network(
+        ContentCatalog(K),
+        tuple(
+            SmallBaseStation(n, int(caps[n]), float(rng.uniform(1.0, 6.0)), beta)
+            for n in range(N)
+        ),
+        classes,
+    )
+    demand = paper_demand(T, len(classes), K, rng=rng, density_range=(0.0, 4.0))
+    x = np.zeros((T, N, K))
+    for t in range(T):
+        for n in range(N):
+            x[t, n, rng.choice(K, int(rng.integers(0, caps[n] + 1)), replace=False)] = 1
+    return JointProblem(net, demand.rates), x
+
+
+class TestFastPathMatchesOracle:
+    def test_array_scan_equals_per_move_oracle(self, monkeypatch):
+        """The array scan applies the same moves as the per-move oracle:
+        identical ``x``, ``y`` and cost bytes, on N = 1, 2, 3 at beta in
+        {0, 0.5, 5}."""
+        applied = 0.0
+        for N in (1, 2, 3):
+            for beta in (0.0, 0.5, 5.0):
+                for seed in (1, 2):
+                    prob, x0 = _multi_cell(100 * N + seed, N, beta)
+                    runs = []
+                    for fast in (True, False):
+                        with monkeypatch.context() as patch:
+                            if not fast:
+                                patch.setattr(
+                                    polish_module, "_uses_fast_path", lambda p: False
+                                )
+                            recorder = Recorder()
+                            with record_into(recorder):
+                                out = polish_caching(prob, x0)
+                        runs.append((out, recorder.metrics))
+                    (fx, fy, fc), fast_metrics = runs[0]
+                    (ox, oy, oc), oracle_metrics = runs[1]
+                    assert fx.tobytes() == ox.tobytes()
+                    assert fy.tobytes() == oy.tobytes()
+                    for field in ("bs_cost", "sbs_cost", "replacement"):
+                        assert np.float64(getattr(fc, field)).tobytes() == (
+                            np.float64(getattr(oc, field)).tobytes()
+                        )
+                    assert fc.replacements == oc.replacements
+                    for name in ("polish_moves_scored", "polish_moves_applied"):
+                        assert fast_metrics.counter(name) == oracle_metrics.counter(
+                            name
+                        )
+                    assert fast_metrics.counter("polish_moves_scored") > 0
+                    applied += fast_metrics.counter("polish_moves_applied")
+        assert applied > 0
 
 
 class TestSeededPrimalDual:
