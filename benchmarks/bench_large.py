@@ -12,13 +12,15 @@ stacked ``P2`` water-fill replaces 500 per-SBS solves with one.
 Three legs, each timed into ``BENCH_large.json``:
 
 - ``p2_kernel``: one stacked ``P2`` solve (R = N*T rows, J = 20,000
-  columns) under generic positive prices — the overloaded paper regime,
-  so rows are bandwidth-bound. A kernel-level A/B on the same row stack
-  times the closed-form parametric solve against the legacy 26-iteration
-  bisection (``closed_form=False, early_exit=False``) and gates a >= 3x
-  speedup plus a >= 5x peak-memory reduction versus the seed kernel's two
-  ``(R, J)`` bracket-state arrays (tracemalloc, measured beyond the
-  output arrays).
+  columns) under generic positive prices. At the workload's own bandwidth
+  only a few rows bind (7 of 1,000 at this seed), so a kernel-level A/B
+  runs on the same rows with every row's bandwidth starved to
+  :data:`BOUND_FRACTION` of its unconstrained fill, which binds them all.
+  It times the closed-form parametric solve against the legacy
+  26-iteration bisection (``closed_form=False, early_exit=False``) and
+  gates a >= 3x speedup plus a >= 5x peak-memory reduction versus the
+  seed kernel's two ``(R, J)`` bracket-state arrays (tracemalloc,
+  measured beyond the output arrays).
 - ``p1_batched``: one ``solve_caching`` over all 500 SBSs with sparse
   hot-set prices, plus the per-SBS flow (``_solve_single_sbs_flow``, one
   SBS at a time) on a small subsample to measure the per-SBS cost the
@@ -55,6 +57,7 @@ from repro.core.problem import JointProblem
 from repro.network import ContentCatalog, MUClass, Network, SmallBaseStation
 from repro.obs import Recorder, record_into, run_manifest, write_manifest
 from repro.optim.waterfill import waterfill_batch
+from repro.perf.executor import default_workers
 from repro.perf.solvecache import SolveCache
 
 pytestmark = pytest.mark.skipif(
@@ -74,6 +77,10 @@ CACHE_SIZE = 12
 BETA = 4.0
 BANDWIDTH = 2.0  # ~half the mean offered load: the paper's overload regime
 HOT_ITEMS = 5
+#: Bandwidth of the A/B stack's rows, as a share of each row's
+#: unconstrained fill (the construction of ``_bound_stack`` in
+#: ``tests/test_batched.py``): every row with a positive fill binds.
+BOUND_FRACTION = 0.4
 LOOP_SAMPLE = 4  # SBSs measured on the per-SBS flow (the full 500 is the
 # infeasible case this bench exists to document)
 
@@ -83,7 +90,12 @@ _COUNTERS = (
     "p1_batched_capped",
     "p1_batched_fallbacks",
 )
-_P2_COUNTERS = ("p2_bw_bound_rows", "p2_bw_closed_form", "p2_bisection_fallbacks")
+_P2_COUNTERS = (
+    "p2_bw_bound_rows",
+    "p2_bw_closed_form",
+    "p2_bisection_fallbacks",
+    "p2_row_blocks",
+)
 
 
 def _p2_row_stack(problem):
@@ -180,7 +192,7 @@ def test_large_scale(save_report):
         == p2_counters["p2_bw_bound_rows"]
     )
 
-    # ---- leg 1b: kernel-level A/B on the same bandwidth-bound row stack —
+    # ---- leg 1b: kernel-level A/B on the same rows, every one bound —
     # closed-form parametric solve vs the early-exit bisection reference vs
     # the legacy fixed-depth 26-iteration bisection this PR replaces.
     lam_b, om_b, W_b, bw_b, group = _p2_row_stack(problem)
@@ -193,6 +205,11 @@ def test_large_scale(save_report):
         )
     scale = problem.bs_cost.scale
     R, J = lam_b.shape
+    unconstrained, _ = waterfill_batch(
+        lam_b, lam_b, om_b, mu_b, W_b, np.full(R, 1e18), scale, group_ids=group
+    )
+    bw_b = BOUND_FRACTION * unconstrained.sum(axis=1)
+    del unconstrained
 
     ab_recorder = Recorder()
     started = time.perf_counter()
@@ -205,7 +222,7 @@ def test_large_scale(save_report):
         name: ab_recorder.metrics.counter(name) for name in _P2_COUNTERS
     }
     bound_rows = ab_counters["p2_bw_bound_rows"]
-    assert bound_rows > 0
+    assert bound_rows == R
     assert (
         ab_counters["p2_bw_closed_form"] + ab_counters["p2_bisection_fallbacks"]
         == bound_rows
@@ -341,6 +358,8 @@ def test_large_scale(save_report):
             "beta": BETA,
             "seed": SEED,
         },
+        # The P2 water-fill splits its stacks over the usable cores.
+        "usable_cores": default_workers(),
         "build_seconds": build_seconds,
         # Top-level *_seconds so `repro bench diff` gates them directly.
         "p2_closed_seconds": closed_seconds,
@@ -398,7 +417,8 @@ def test_large_scale(save_report):
 
     lines = [
         f"scale=large: N={NUM_SBS} SBSs, K={NUM_ITEMS} items, "
-        f"~{USERS_PER_CLASS * network.num_classes:,} users",
+        f"~{USERS_PER_CLASS * network.num_classes:,} users, "
+        f"{default_workers()} usable cores",
         f"  build               {build_seconds:8.1f}s",
         f"  P2 stacked kernel   {p2_seconds:8.1f}s   (one solve, "
         f"{NUM_SBS * HORIZON} x {CLASSES_PER_SBS * NUM_ITEMS})",

@@ -61,10 +61,11 @@ could become eligible (negative slope), and degenerate cross-group
 ``kappa`` ties whose optimum needs two simultaneously-partial items (a
 measure-zero coincidence under continuous inputs: it requires ``2 s r
 (omega_H - omega_L) = slope_H - slope_L`` to hold exactly at the optimum)
-are routed to the bisection below. The counters ``p2_bw_bound_rows``,
-``p2_bw_closed_form`` and ``p2_bisection_fallbacks`` (see
-:mod:`repro.obs`) account for every bound row:
-``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
+are routed to the bisection below. A bound row with zero bandwidth needs
+no solve at all: zero is its only feasible allocation, and it counts as
+closed form. The counters ``p2_bw_bound_rows``, ``p2_bw_closed_form`` and
+``p2_bisection_fallbacks`` (see :mod:`repro.obs`) account for every bound
+row: ``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
 
 Residual bisection and the threshold search
 -------------------------------------------
@@ -178,6 +179,28 @@ bitwise-invisible; it bounds the solver's transient state to a few MB
 regardless of the stack size, where the historical kernel materialized
 O(R x J) bracket-state arrays (two ``(R, J)`` intp arrays alone are
 ~320 MB at R=1000, J=20000).
+
+Row blocks
+----------
+A stack of ``elements`` (active rows times compressed columns) splits into
+``min(default_workers(), elements // MIN_BLOCK_ELEMS)`` contiguous row
+blocks on the shared thread pool of :mod:`repro.perf.executor`; one block,
+one usable core, or a call from an executor worker runs inline. Both row
+loops split: the single-pass fill of slope-free groups and the active-row
+chunks. Like chunking, the split is bitwise-invisible: rows never
+interact, each block is chunked by :data:`_CHUNK_ELEMS`, and each writes
+only its own output rows. NumPy releases the interpreter lock in the
+sorts, gathers and ufuncs that make up the work, so the blocks overlap.
+Block counters are summed on the calling thread; ``p2_row_blocks`` counts
+the blocks dispatched (0 inline). Two-block over inline time, ``R x 900``
+cuts of a ``multicell`` stack, median of 9 runs on 2 usable cores:
+
+========  =====  ======  ======  ======  =======  =======
+elements  9,000  18,000  36,000  72,000  144,000  360,000
+ratio     1.73   1.31    1.09    0.91    0.77     0.66
+========  =====  ======  ======  ======  =======  =======
+
+So a block must hold :data:`MIN_BLOCK_ELEMS` (``2^16``) elements.
 """
 
 from __future__ import annotations
@@ -185,6 +208,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.recorder import inc
+from repro.perf.executor import default_workers, get_executor, in_worker
 from repro.types import FloatArray, IntArray
 
 _INF = np.inf
@@ -202,6 +226,22 @@ WEIGHT_GUARD = 1e-12
 #: ``max(1, _CHUNK_ELEMS // J)`` rows keep per-stage temporaries at a few
 #: MB each; all per-row math is chunk-invariant (bitwise).
 _CHUNK_ELEMS = 1 << 18
+
+#: Smallest row block worth a pool thread, in matrix elements, past the
+#: measured crossover (module docstring, "Row blocks").
+MIN_BLOCK_ELEMS = 1 << 16
+
+
+def _map_row_blocks(fn, rows: IntArray, width: int) -> tuple[list, int]:
+    """``fn`` over contiguous blocks of ``rows``, in block order, and the
+    number of pooled blocks (0: one inline call). The size test comes
+    first, so a small stack pays no executor lookup."""
+    n = rows.size * width // MIN_BLOCK_ELEMS
+    if n >= 2 and not in_worker():
+        n = min(default_workers(), n, rows.size)
+        if n >= 2:
+            return get_executor("thread").map(fn, np.array_split(rows, n)), n
+    return [fn(rows)], 0
 
 
 def waterfill_batch(
@@ -242,9 +282,10 @@ def waterfill_batch(
         Answer bisected rows by the threshold search (bitwise-invisible;
         see module docstring). ``False`` runs the fixed-depth reference.
     closed_form:
-        Solve bandwidth-bound rows by the exact parametric path (see
-        module docstring). ``False`` demotes every bound row to the
-        bisection, the reference tests and benchmarks compare against.
+        Solve bandwidth-bound rows by the exact parametric path, and those
+        with zero bandwidth by their zero allocation (see module
+        docstring). ``False`` demotes every bound row to the bisection,
+        the reference tests and benchmarks compare against.
 
     Returns
     -------
@@ -334,21 +375,20 @@ def waterfill_batch(
         np.logical_or.at(grp, group_ids, row_any)
         bisect_rows = grp[group_ids]
 
-    single = np.flatnonzero(~bisect_rows)
-    if single.size:
+    def fill_single(rows: IntArray) -> None:
         # Every cap-positive item of a single-pass group has slope exactly
         # zero, so the zero-slope fill is bit-identical and skips the
         # (R, J) division.
         alloc, u = full_fill(
-            single, np.maximum(W[single], 1.0), with_alloc=True, zero_slope=True
+            rows, np.maximum(W[rows], 1.0), with_alloc=True, zero_slope=True
         )
         assert alloc is not None
-        alloc_out[single] = alloc
-        u_out[single] = u
+        alloc_out[rows] = alloc
+        u_out[rows] = u
 
+    single = np.flatnonzero(~bisect_rows)
+    blocks = _map_row_blocks(fill_single, single, J)[1] if single.size else 0
     act = np.flatnonzero(bisect_rows)
-    if act.size == 0:
-        return alloc_out, u_out
 
     def bisect_rows(
         rows: IntArray,
@@ -799,8 +839,9 @@ def waterfill_batch(
             if srows.size:
                 alloc_out[brows[srows]] = alloc_b[srows]
                 u_out[brows[srows]] = u_b[srows]
-            n_cf = int(srows.size)
-            un = ~solved
+            # Zero bandwidth: the zero allocation, already in the output.
+            un = ~solved & (bw_b != 0)
+            n_cf = nb - int(un.sum())
             brows, om_b, cp_b = brows[un], om_b[un], cp_b[un]
             sl_b, W_b, bw_b = sl_b[un], W_b[un], bw_b[un]
         counts = (
@@ -808,9 +849,14 @@ def waterfill_batch(
         )
         return (nb, n_cf, nb - n_cf, *counts)
 
-    totals = np.zeros(6, dtype=np.int64)
-    for start in range(0, act.size, chunk):
-        totals += process(act[start : start + chunk])
+    def process_block(rows: IntArray) -> np.ndarray:
+        totals = np.zeros(6, dtype=np.int64)
+        for start in range(0, rows.size, chunk):
+            totals += process(rows[start : start + chunk])
+        return totals
+
+    parts, pooled = _map_row_blocks(process_block, act, J)
+    totals = sum(parts)  # in block order
     for name, n in zip(
         (
             "p2_bw_bound_rows",
@@ -819,8 +865,9 @@ def waterfill_batch(
             "p2_bisection_fills",
             "p2_bisection_replayed",
             "p2_bisection_fixed_depth",
+            "p2_row_blocks",
         ),
-        totals,
+        (*totals, blocks + pooled),
     ):
         if n:
             inc(name, float(n))

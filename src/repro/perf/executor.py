@@ -208,6 +208,19 @@ def _shared_executor(kind: str, workers: int) -> Executor:
         return ex
 
 
+def _drop_thread_pools() -> None:
+    """Forked child: an inherited pool's threads are gone and it would never
+    run a task, so forget it; the next use starts a fresh one."""
+    global _shared_lock
+    _shared_lock = threading.Lock()
+    for key in [key for key in _shared if key[0] == "thread"]:
+        del _shared[key]
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_drop_thread_pools)
+
+
 @atexit.register
 def _close_shared() -> None:  # pragma: no cover - interpreter shutdown
     with _shared_lock:
