@@ -48,6 +48,8 @@ _SOLVE_COUNTERS = (
     "p2_bisection_fixed_depth",
     "polish_moves_scored",
     "polish_moves_applied",
+    "window_solves",
+    "window_solves_shared",
 )
 
 
@@ -155,6 +157,9 @@ def test_headline_beta50(benchmark, bench_scale, save_report, save_json):
     # re-anchor guarantee hits on the online legs).
     counters = payload["solve_counters"]
     assert counters["p1_memo_hits"] > 0
+    # RHC, CHC and AFHC open with shared cold windows, solved once per
+    # comparison ahead of the fan-out.
+    assert counters["window_solves_shared"] > 0
 
     # Every memo miss is accounted for by the relaxation pass: either
     # answered there or counted as a fallback to the per-SBS flow.

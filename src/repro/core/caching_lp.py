@@ -61,10 +61,17 @@ class CachingSolution:
 
 
 def class_prices(network: Network, mu: FloatArray) -> FloatArray:
-    """Aggregate dual prices per SBS: ``c[t, n, k] = sum_{m in n} mu[t, m, k]``."""
-    T = mu.shape[0]
-    out = np.zeros((T, network.num_sbs, network.num_items))
-    np.add.at(out, (slice(None), network.class_sbs), mu)
+    """Aggregate dual prices per SBS: ``c[t, n, k] = sum_{m in n} mu[t, m, k]``.
+
+    Each SBS adds its classes in class order onto +0.0, one rank at a time
+    (the bytes of ``np.add.at``); padding adds +0.0, a no-op on such sums.
+    """
+    slots = network.class_slots
+    per_slot = mu[:, slots]
+    per_slot[:, slots < 0] = 0.0
+    out = np.zeros((mu.shape[0], network.num_sbs, network.num_items))
+    for rank in range(slots.shape[1]):
+        out += per_slot[:, :, rank]
     return out
 
 

@@ -21,6 +21,7 @@ network and the eviction are gated on faults being active.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,18 @@ class OnlineSolveSettings:
     gap_tol: float = 1e-3
     ub_patience: int | None = 8
     max_seconds: float | None = None
+
+
+class ColdKey(NamedTuple):
+    """A first window: solved from ``scenario.x_initial``, nothing warm."""
+
+    decided_at: int
+    window_start: int
+    window: int
+    settings: OnlineSolveSettings
+
+
+ColdResults = Mapping[ColdKey, PrimalDualResult]
 
 
 def solve_window(

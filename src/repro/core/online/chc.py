@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.horizon import fhc_solve_times
+from repro.core.online.base import ColdKey, ColdResults
 from repro.core.online.base import OnlineSolveSettings, record_cache_stats
 from repro.core.online.fhc import run_fhc_variant
 from repro.core.rounding import (
@@ -67,11 +69,16 @@ class CHC:
     def name(self) -> str:
         return f"CHC(w={self.window},r={self.commitment})"
 
-    def plan(self, scenario: Scenario) -> PolicyPlan:
-        with label_scope(controller=self.name):
-            return self._plan(scenario)
+    def cold_windows(self, scenario: Scenario) -> tuple[ColdKey, ...]:
+        r, T = self.commitment, scenario.horizon
+        firsts = (fhc_solve_times(v, r, T)[0] for v in range(r))
+        return tuple(ColdKey(t, t, self.window, self.settings) for t in firsts)
 
-    def _plan(self, scenario: Scenario) -> PolicyPlan:
+    def plan(self, scenario: Scenario, cold: ColdResults | None = None) -> PolicyPlan:
+        with label_scope(controller=self.name):
+            return self._plan(scenario, cold)
+
+    def _plan(self, scenario: Scenario, cold: ColdResults | None) -> PolicyPlan:
         x_sum = np.zeros(
             (scenario.horizon, scenario.network.num_sbs, scenario.network.num_items)
         )
@@ -95,6 +102,7 @@ class CHC:
                 commitment=self.commitment,
                 settings=self.settings,
                 solve_cache=cache,
+                cold=cold,
             )
             x_sum += traj.x
             y_sum += traj.y

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.horizon import committed_slots, fhc_solve_times
+from repro.core.online.base import ColdKey, ColdResults
 from repro.core.online.base import OnlineSolveSettings, shift_mu, solve_window
 from repro.exceptions import ConfigurationError
 from repro.faults.degrade import realize_slot, scenario_states
@@ -48,12 +49,13 @@ def run_fhc_variant(
     commitment: int,
     settings: OnlineSolveSettings,
     solve_cache: SolveCache | None = None,
+    cold: ColdResults | None = None,
 ) -> FixedHorizonTrajectory:
     """Run FHC variant ``v`` with window ``w`` and commitment level ``r``.
 
     ``solve_cache`` shares incremental re-solve state with the caller (CHC
     passes one cache across all its variants); when omitted, a per-variant
-    cache is created.
+    cache is created. ``cold`` may hold the pre-solved cold first window.
     """
     if not 1 <= commitment <= window:
         raise ConfigurationError(
@@ -71,18 +73,22 @@ def run_fhc_variant(
     states = scenario_states(scenario) if faulted else None
     if solve_cache is None:
         solve_cache = SolveCache()
-    for tau in fhc_solve_times(variant, commitment, T):
-        result = solve_window(
-            scenario,
-            decided_at=tau,
-            window_start=tau,
-            window=window,
-            x_prev=x_prev,
-            settings=settings,
-            mu_warm=mu_warm,
-            x_warm=x_warm,
-            solve_cache=solve_cache,
-        )
+    times = fhc_solve_times(variant, commitment, T)
+    key = ColdKey(times[0], times[0], window, settings)
+    for tau in times:
+        result = cold.get(key) if cold and tau == times[0] else None
+        if result is None:
+            result = solve_window(
+                scenario,
+                decided_at=tau,
+                window_start=tau,
+                window=window,
+                x_prev=x_prev,
+                settings=settings,
+                mu_warm=mu_warm,
+                x_warm=x_warm,
+                solve_cache=solve_cache,
+            )
         solves += 1
         slots = committed_slots(tau, commitment, T)
         inc(

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.online.base import (
+    ColdKey,
+    ColdResults,
     OnlineSolveSettings,
     record_cache_stats,
     shift_mu,
@@ -50,11 +52,14 @@ class RHC:
     def name(self) -> str:
         return f"RHC(w={self.window})"
 
-    def plan(self, scenario: Scenario) -> PolicyPlan:
-        with label_scope(controller=self.name):
-            return self._plan(scenario)
+    def cold_windows(self, scenario: Scenario) -> tuple[ColdKey, ...]:
+        return (ColdKey(0, 0, self.window, self.settings),)
 
-    def _plan(self, scenario: Scenario) -> PolicyPlan:
+    def plan(self, scenario: Scenario, cold: ColdResults | None = None) -> PolicyPlan:
+        with label_scope(controller=self.name):
+            return self._plan(scenario, cold)
+
+    def _plan(self, scenario: Scenario, cold: ColdResults | None) -> PolicyPlan:
         T = scenario.horizon
         net = scenario.network
         x = np.zeros((T, net.num_sbs, net.num_items))
@@ -66,18 +71,21 @@ class RHC:
         faulted = scenario.faults is not None and not scenario.faults.is_empty
         states = scenario_states(scenario) if faulted else None
         cache = SolveCache()
+        (key,) = self.cold_windows(scenario)
         for tau in range(T):
-            result = solve_window(
-                scenario,
-                decided_at=tau,
-                window_start=tau,
-                window=self.window,
-                x_prev=x_prev,
-                settings=self.settings,
-                mu_warm=mu_warm,
-                x_warm=x_warm,
-                solve_cache=cache,
-            )
+            result = cold.get(key) if cold and tau == 0 else None
+            if result is None:
+                result = solve_window(
+                    scenario,
+                    decided_at=tau,
+                    window_start=tau,
+                    window=self.window,
+                    x_prev=x_prev,
+                    settings=self.settings,
+                    mu_warm=mu_warm,
+                    x_warm=x_warm,
+                    solve_cache=cache,
+                )
             solves += 1
             inc("controller_commits", labels={"controller": "RHC"})
             x[tau] = result.x[0]

@@ -129,6 +129,14 @@ class Network:
             buckets[mu.sbs_id].append(mu.class_id)
         return tuple(np.array(b, dtype=np.int64) for b in buckets)
 
+    @cached_property
+    def class_slots(self) -> IntArray:
+        """``classes_of_sbs`` as one ``(N, C)`` array padded with ``-1``."""
+        slots = np.full((self.num_sbs, max(map(len, self.classes_of_sbs))), -1)
+        for n, members in enumerate(self.classes_of_sbs):
+            slots[n, : len(members)] = members
+        return slots
+
     # ----------------------------------------------------------- construction
 
     def classes_served_by(self, sbs_id: int) -> tuple[MUClass, ...]:

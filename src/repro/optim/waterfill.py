@@ -61,9 +61,10 @@ could become eligible (negative slope), and degenerate cross-group
 ``kappa`` ties whose optimum needs two simultaneously-partial items (a
 measure-zero coincidence under continuous inputs: it requires ``2 s r
 (omega_H - omega_L) = slope_H - slope_L`` to hold exactly at the optimum)
-are routed to the bisection below. A bound row with zero bandwidth needs
-no solve at all: zero is its only feasible allocation, and it counts as
-closed form. The counters ``p2_bw_bound_rows``, ``p2_bw_closed_form`` and
+are routed to the bisection below. A bound row with zero bandwidth, of
+either sign, needs no solve at all: zero is its only feasible allocation
+(``u = +0.0``, as the bisection answers), and it counts as closed form.
+The counters ``p2_bw_bound_rows``, ``p2_bw_closed_form`` and
 ``p2_bisection_fallbacks`` (see :mod:`repro.obs`) account for every bound
 row: ``p2_bw_closed_form + p2_bisection_fallbacks == p2_bw_bound_rows``.
 
@@ -365,15 +366,24 @@ def waterfill_batch(
     # fixed-cache oracle's hot path. (caps > 0 implies lam > 0, where
     # slope > 0 iff mu > 0 — no division needed for the test.)
     row_any = np.zeros(R, dtype=bool)
+    route = np.zeros(R, dtype=bool)
     for s0 in range(0, R, chunk):
         sl = slice(s0, s0 + chunk)
-        row_any[sl] = ((mu[sl] > 0) & (caps[sl] > 0)).any(axis=1)
+        cap_pos = caps[sl] > 0
+        route[sl] = cap_pos.any(axis=1)
+        row_any[sl] = (cap_pos & (mu[sl] > 0)).any(axis=1)
     if group_ids is None:
         bisect_rows = np.full(R, bool(row_any.any()))
     else:
-        grp = np.zeros(int(group_ids.max()) + 1, dtype=bool)
-        np.logical_or.at(grp, group_ids, row_any)
-        bisect_rows = grp[group_ids]
+        bisect_rows = (np.bincount(group_ids, weights=row_any) > 0)[group_ids]
+    # Rows with no cap-positive item keep the zeros already in the output:
+    # both row loops give them those bytes (u = +0.0) when the bandwidth is
+    # >= +0.0, the weights are finite and >= +0.0 and W is not NaN.
+    idle = np.flatnonzero(~route)
+    if idle.size:
+        bw_i, om_i = bandwidths[idle], omega[idle]
+        plain = (bw_i >= 0) & ~np.signbit(bw_i) & ~np.isnan(W[idle])
+        route[idle] = ~(plain & (np.isfinite(om_i) & ~np.signbit(om_i)).all(axis=1))
 
     def fill_single(rows: IntArray) -> None:
         # Every cap-positive item of a single-pass group has slope exactly
@@ -386,9 +396,9 @@ def waterfill_batch(
         alloc_out[rows] = alloc
         u_out[rows] = u
 
-    single = np.flatnonzero(~bisect_rows)
+    single = np.flatnonzero(route & ~bisect_rows)
     blocks = _map_row_blocks(fill_single, single, J)[1] if single.size else 0
-    act = np.flatnonzero(bisect_rows)
+    act = np.flatnonzero(route & bisect_rows)
 
     def bisect_rows(
         rows: IntArray,
@@ -823,6 +833,10 @@ def waterfill_batch(
         # chunk's peak live set — not any O(R x J) allocation — is what
         # the kernel's memory budget consists of now.
         del t_thr, ordt, tv, cps, cwv, cum, alloc_sorted, valid
+        if closed_form:
+            # Zero bandwidth, of either sign: zero, already in the output.
+            keep &= bw_a != 0
+            brows = rows[keep]
         if keep.all():
             om_b, cp_b = om_a, cp_a
             bw_b, W_b = bw_a, W_a
@@ -830,8 +844,8 @@ def waterfill_batch(
             om_b, cp_b = om_a[keep], cp_a[keep]
             bw_b, W_b = bw_a[keep], W_a[keep]
         sl_b = slope_of(brows)
-        n_cf = 0
-        if closed_form:
+        n_cf = nb - brows.size
+        if closed_form and brows.size:
             alloc_b, u_b, solved = _solve_bw_bound(
                 om_b, cp_b, sl_b, W_b, bw_b, two_s
             )
@@ -839,9 +853,8 @@ def waterfill_batch(
             if srows.size:
                 alloc_out[brows[srows]] = alloc_b[srows]
                 u_out[brows[srows]] = u_b[srows]
-            # Zero bandwidth: the zero allocation, already in the output.
-            un = ~solved & (bw_b != 0)
-            n_cf = nb - int(un.sum())
+            un = ~solved
+            n_cf += srows.size
             brows, om_b, cp_b = brows[un], om_b[un], cp_b[un]
             sl_b, W_b, bw_b = sl_b[un], W_b[un], bw_b[un]
         counts = (

@@ -65,7 +65,8 @@ class RunResult:
         Number of optimization solves the policy performed.
     wall_time:
         Wall-clock seconds spent planning + scoring this policy (set by
-        :func:`repro.sim.runner.run_policy`; 0 when not measured).
+        :func:`repro.sim.runner.run_policy`; 0 when not measured), without
+        the cold windows a comparison shares and solves before its fan-out.
     """
 
     policy: str

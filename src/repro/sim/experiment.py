@@ -42,7 +42,7 @@ from repro.obs.recorder import current_recorder
 from repro.perf.executor import Executor, map_recorded, resolve_executor
 from repro.scenario import CachingPolicy, Scenario
 from repro.sim.engine import EvaluationMode, RunResult
-from repro.sim.runner import _run_policy_task, _stable_names
+from repro.sim.runner import _run_policy_task, _stable_names, shared_cold_windows
 from repro.workload.demand import paper_demand
 from repro.workload.predictor import PerturbedPredictor
 
@@ -230,14 +230,15 @@ def _run_sweep(
 
     The ``(value, seed, policy)`` grid is flattened into independent tasks
     and run through the executor layer, with scenarios built up-front in
-    the parent process so process pools only ship picklable data. The
-    reduction follows grid order, so the aggregated metrics are identical
-    to a serial run regardless of the executor (``wall_time`` excepted —
-    it is a measurement, not a model output).
+    the parent process (with the cold windows each point's policies share)
+    so process pools only ship picklable data. The reduction follows grid
+    order, so the aggregated metrics are identical to a serial run
+    regardless of the executor (``wall_time`` excepted — it is a
+    measurement, not a model output).
     """
     # Per value, per seed: the point's (policy name, task index) layout.
     layouts: list[list[list[tuple[str, int]]]] = []
-    tasks: list[tuple[Scenario, CachingPolicy, EvaluationMode]] = []
+    tasks: list[tuple] = []
     labels: list[str] = []
     invariant_task: dict[tuple[int, str], int] = {}
     for value in values:
@@ -245,16 +246,19 @@ def _run_sweep(
         for seed in seeds:
             scenario = scenario_for(value, seed)
             entry: list[tuple[str, int]] = []
+            fresh: list[CachingPolicy] = []
             for policy in policies_for(value):
                 key = (seed, policy.name)
                 idx = invariant_task.get(key) if policy.name in invariant else None
                 if idx is None:
-                    idx = len(tasks)
-                    tasks.append((scenario, policy, mode))
+                    idx = len(tasks) + len(fresh)
+                    fresh.append(policy)
                     labels.append(f"{parameter}={value:g} seed={seed}")
                     if policy.name in invariant:
                         invariant_task[key] = idx
                 entry.append((policy.name, idx))
+            colds = shared_cold_windows(scenario, fresh)
+            tasks += [(scenario, p, mode, c) for p, c in zip(fresh, colds)]
             seed_layout.append(entry)
         layouts.append(seed_layout)
 

@@ -9,18 +9,22 @@ Result dicts are keyed by policy name. Duplicate names (two ``RHC``
 instances with different windows, say) would silently collapse into one
 entry, so :func:`run_policies` de-duplicates them up front with the same
 renaming adapter the sweeps use — ``RHC``, ``RHC#2``, ``RHC#3`` — and keys
-the serial and parallel branches identically.
+the serial and parallel branches identically. Cold windows two or more
+policies open with are solved once, before the fan-out (DESIGN.md §4).
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.config import RuntimeConfig
-from repro.obs.recorder import current_recorder, label_scope
+from repro.core.online.base import ColdKey, ColdResults, solve_window
+from repro.obs.recorder import current_recorder, inc, label_scope
+from repro.perf.solvecache import SolveCache
 from repro.perf.executor import Executor, map_recorded, resolve_executor
 from repro.scenario import CachingPolicy, PolicyPlan, Scenario
 from repro.sim.engine import EvaluationMode, RunResult, evaluate_plan
@@ -45,8 +49,34 @@ class _RenamedPolicy:
     def name(self) -> str:
         return self.display
 
-    def plan(self, scenario: Scenario) -> PolicyPlan:
-        return self.inner.plan(scenario)
+    def cold_windows(self, scenario: Scenario) -> tuple[ColdKey, ...]:
+        return getattr(self.inner, "cold_windows", lambda _: ())(scenario)
+
+    def plan(self, scenario: Scenario, **cold: Any) -> PolicyPlan:
+        return self.inner.plan(scenario, **cold)
+
+
+def shared_cold_windows(
+    scenario: Scenario, policies: list[CachingPolicy]
+) -> list[ColdResults | None]:
+    """Per policy, read-only results of its cold windows another one shares."""
+    declared = [getattr(p, "cold_windows", lambda _: ())(scenario) for p in policies]
+    counts = Counter(key for keys in declared for key in keys)
+    shared = [key for key, n in counts.items() if n > 1]
+    results, cache = {}, SolveCache()
+    with label_scope(policy="shared"):
+        for key in shared:
+            result = solve_window(
+                scenario, key.decided_at, key.window_start, key.window,
+                scenario.x_initial, key.settings, None, solve_cache=cache,
+            )
+            for array in (result.x, result.y, result.mu):
+                array.flags.writeable = False  # plans copy what they keep
+            results[key] = result
+    colds = [{k: results[k] for k in keys if k in results} or None for keys in declared]
+    if shared:
+        inc("window_solves_shared", sum(len(c) for c in colds if c))
+    return colds
 
 
 def _stable_names(policies: Iterable[CachingPolicy]) -> list[CachingPolicy]:
@@ -86,21 +116,21 @@ def run_policy(
     took (``RunResult.wall_time``), measured where the work actually ran —
     inside the worker when executed through a parallel executor.
     """
+    return _run_policy_task((scenario, policy, mode, None))
+
+
+def _run_policy_task(
+    task: tuple[Scenario, CachingPolicy, EvaluationMode, ColdResults | None],
+) -> RunResult:
+    """Module-level task wrapper so process executors can pickle it."""
+    scenario, policy, mode, cold = task
     started = time.perf_counter()
     with label_scope(policy=policy.name):
-        plan = policy.plan(scenario)
+        plan = policy.plan(scenario, cold=cold) if cold else policy.plan(scenario)
         result = evaluate_plan(
             scenario, plan, policy_name=policy.name, mode=mode
         )
     return replace(result, wall_time=time.perf_counter() - started)
-
-
-def _run_policy_task(
-    task: tuple[Scenario, CachingPolicy, EvaluationMode],
-) -> RunResult:
-    """Module-level task wrapper so process executors can pickle it."""
-    scenario, policy, mode = task
-    return run_policy(scenario, policy, mode=mode)
 
 
 def run_policies(
@@ -122,7 +152,8 @@ def run_policies(
     policy_list = _unique_names(list(policies))
     ex = resolve_executor(executor, config=config)
     recorder = current_recorder()
-    tasks = [(scenario, p, mode) for p in policy_list]
+    colds = shared_cold_windows(scenario, policy_list)
+    tasks = [(scenario, p, mode, c) for p, c in zip(policy_list, colds)]
     if recorder is not None:
         # Recorded runs use the recorded fan-out on EVERY backend, serial
         # included: each task collects into a fresh recorder merged back in
@@ -131,7 +162,7 @@ def run_policies(
     elif ex.workers > 1 and len(policy_list) > 1:
         outcomes = ex.map(_run_policy_task, tasks)
     else:
-        outcomes = [run_policy(scenario, p, mode=mode) for p in policy_list]
+        outcomes = [_run_policy_task(task) for task in tasks]
     results = {p.name: r for p, r in zip(policy_list, outcomes)}
     if verbose:
         for result in results.values():

@@ -48,6 +48,33 @@ class TestClassPrices:
         np.testing.assert_allclose(prices[0, 0], 1.0)
         np.testing.assert_allclose(prices[0, 1], 2.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bytes_equal_add_at_scatter(self, seed):
+        """Equal to the ``np.add.at`` scatter byte for byte, on uneven and
+        interleaved class counts, an SBS with no class, signed zeros, +-inf
+        and magnitudes where the summation order shows in the last bits."""
+        rng = np.random.default_rng(seed)
+        N, M, K, T = 5, 23, 6, 4
+        owner = rng.integers(0, N - 1, M)  # SBS N-1 serves no class
+        net = Network(
+            ContentCatalog(K),
+            tuple(SmallBaseStation(n, 1, 1.0, 1.0) for n in range(N)),
+            tuple(MUClass(m, int(owner[m]), 0.5) for m in range(M)),
+        )
+        mu = rng.standard_normal((T, M, K)) * 10.0 ** rng.integers(-8, 9, (T, M, K))
+        mu[rng.random(mu.shape) < 0.25] = -0.0
+        mu[rng.random(mu.shape) < 0.02] = np.inf
+        mu[rng.random(mu.shape) < 0.02] = -np.inf
+        # An item that is -0.0 in every class of the widest SBS: summed
+        # onto +0.0 it reads +0.0, started from its first class -0.0.
+        mu[:, owner == np.bincount(owner).argmax(), 0] = -0.0
+        expected = np.zeros((T, N, K))
+        with np.errstate(invalid="ignore"):
+            np.add.at(expected, (slice(None), net.class_sbs), mu)
+            prices = class_prices(net, mu)
+        assert prices.tobytes() == expected.tobytes()
+        assert not np.signbit(prices[:, N - 1]).any()
+
 
 class TestSolveCaching:
     def test_zero_prices_empty_cache(self):

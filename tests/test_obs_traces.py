@@ -26,20 +26,33 @@ from repro.obs import (
 EXECUTORS = ("serial", "thread:2", "process:2")
 
 
-def _record_run(executor: str, *, seed: int = 1, horizon: int = 6) -> Recorder:
+def _record_run(
+    executor: str, *, seed: int = 1, horizon: int = 6, policies=None
+) -> Recorder:
     scenario = api.build_scenario(seed=seed, horizon=horizon)
     recorder = Recorder()
     with record_into(recorder):
         api.compare_policies(
-            scenario, [api.LRFU(), api.NoCache()], executor=executor
+            scenario, policies or [api.LRFU(), api.NoCache()], executor=executor
         )
     return recorder
 
 
+def _controllers():
+    """Three controllers that open with shared cold windows (tau = 0, -1)."""
+    return [api.RHC(window=3), api.CHC(window=3, commitment=2), api.AFHC(window=3)]
+
+
 class TestCrossExecutorDeterminism:
+    #: ``None``: the LRFU and NoCache baselines.
+    policies = None
+
     @pytest.fixture(scope="class")
     def recorders(self) -> dict[str, Recorder]:
-        return {executor: _record_run(executor) for executor in EXECUTORS}
+        return {
+            executor: _record_run(executor, policies=self.policies)
+            for executor in EXECUTORS
+        }
 
     def test_traces_byte_identical(self, recorders, tmp_path):
         contents = {}
@@ -72,6 +85,22 @@ class TestCrossExecutorDeterminism:
         path = write_trace(tmp_path / "trace.jsonl", recorder)
         assert read_trace(path) == recorder.events
         assert trace_digest(read_trace(path)) == trace_digest(recorder.events)
+
+
+class TestCrossExecutorDeterminismSharedWindows(TestCrossExecutorDeterminism):
+    """The same contract when the comparison solves shared cold windows
+    in the caller, ahead of the fan-out."""
+
+    policies = _controllers()
+
+
+def test_shared_windows_solved_ahead_of_the_tasks():
+    recorder = _record_run("serial", policies=_controllers())
+    assert recorder.metrics.counter("window_solves_shared") == 5
+    solves = [e for e in recorder.events if e.kind == "solve_done"]
+    policies = [e.data["policy"] for e in solves]
+    assert policies[:2] == ["shared", "shared"]
+    assert "shared" not in policies[2:]
 
 
 class TestRecordingIsPassive:

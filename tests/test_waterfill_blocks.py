@@ -239,3 +239,104 @@ class TestZeroBandwidthRows:
         assert c["p2_bw_closed_form"] + c["p2_bisection_fallbacks"] == c["p2_bw_bound_rows"]
         # The reference bisects every bound row, zero bandwidth included.
         assert ref[2]["p2_bw_closed_form"] == 0
+
+
+class TestSignedZeroBandwidth:
+    """A bound row with bandwidth -0.0 answers like one with +0.0."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_to_fixed_depth_reference_sign_included(self, seed):
+        rng = np.random.default_rng(seed)
+        for G, K in ((1, 9), (2, 5), (3, 4)):
+            lam, caps, omega, mu, W, _ = _class_rows(rng, 17, G, K, "zero")
+            bw = rng.choice([0.0, -0.0], 17)
+            assert np.signbit(bw).any()
+            stack = (lam, caps, omega, mu, W, bw)
+            fast = _solve(stack)
+            ref = _solve(stack, closed_form=False, early_exit=False)
+            assert fast[:2] == ref[:2]
+            assert not np.signbit(np.frombuffer(fast[1])).any()
+            c = fast[2]
+            assert c["p2_bw_bound_rows"] > 0
+            assert c["p2_bw_closed_form"] == c["p2_bw_bound_rows"]
+            assert (
+                c["p2_bw_closed_form"] + c["p2_bisection_fallbacks"]
+                == c["p2_bw_bound_rows"]
+            )
+
+
+class TestIdleRows:
+    """Rows with no cap-positive item keep the zeros the row loops give."""
+
+    @staticmethod
+    def _routed_twin(stack, idle):
+        """The stack plus one column that gives every idle row a capped,
+        weightless, slope-free item: nothing is routed to it, but the row
+        now runs its row loop."""
+        lam, caps, omega, mu, W, bw = stack
+        col = idle.astype(float)[:, None]
+        return (
+            np.hstack([lam, col]),
+            np.hstack([caps, col]),
+            np.hstack([omega, np.zeros_like(col)]),
+            np.hstack([mu, np.zeros_like(col)]),
+            W,
+            bw,
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "kw",
+        [{}, {"early_exit": False}, {"closed_form": False, "early_exit": False}],
+    )
+    def test_equal_to_the_row_loops(self, seed, kw):
+        rng = np.random.default_rng(seed)
+        for stack, groups in _families(rng):
+            lam, caps, omega, mu, W, bw = (a.copy() for a in stack)
+            idle = rng.random(caps.shape[0]) < 0.4
+            caps[idle] = 0.0
+            lam[idle & (rng.random(idle.size) < 0.5)] = 0.0
+            # Idle rows outside the shortcut's domain keep their loop.
+            W, bw = W.copy(), bw.astype(float)
+            W[idle & (rng.random(idle.size) < 0.2)] = np.nan
+            bw[idle & (rng.random(idle.size) < 0.2)] = -0.0
+            stack = (lam, caps, omega, mu, W, bw)
+            fast = _solve(stack, groups, **kw)
+            loops = _solve(self._routed_twin(stack, idle), groups, **kw)
+            alloc = np.frombuffer(fast[0]).reshape(caps.shape)
+            twin = np.frombuffer(loops[0]).reshape(caps.shape[0], -1)
+            assert alloc.tobytes() == np.ascontiguousarray(twin[:, :-1]).tobytes()
+            assert not twin[:, -1].any()
+            assert fast[1] == loops[1]
+            u = np.frombuffer(fast[1])
+            assert fast[2] == loops[2]
+            plain = idle & ~np.isnan(W) & ~np.signbit(bw)
+            assert not (alloc[plain].any() or u[plain].any())
+            assert not (np.signbit(alloc[plain]).any() or np.signbit(u[plain]).any())
+
+
+class TestGroupFlags:
+    """A group bisects when any of its rows holds a sloped, capped item."""
+
+    def test_stacked_groups_equal_separate_calls(self):
+        rng = np.random.default_rng(11)
+        R = 40
+        lam, caps, omega, mu, W, bw = _random_stack(rng, R, 8)
+        groups = rng.integers(0, 10, R)
+        slope_free = groups % 3 == 0
+        mu[slope_free] = rng.choice([0.0, -0.0], mu[slope_free].shape)
+        mu[groups == 1, 0] = np.inf
+        mu[groups == 2, 1] = -np.inf
+        caps[groups == 4] = 0.0
+        row_any = ((mu > 0) & (caps > 0)).any(axis=1)
+        flags = np.zeros(10, dtype=bool)
+        np.logical_or.at(flags, groups, row_any)
+        assert flags.any() and not flags[np.unique(groups)].all()
+        stack = (lam, caps, omega, mu, W, bw)
+        with np.errstate(invalid="ignore"):
+            alloc, u = wf.waterfill_batch(*stack, 1.0, group_ids=groups)
+            for g in np.unique(groups):
+                rows = groups == g
+                a_g, u_g = wf.waterfill_batch(*(x[rows] for x in stack), 1.0)
+                assert a_g.tobytes() == np.ascontiguousarray(alloc[rows]).tobytes()
+                assert u_g.tobytes() == u[rows].tobytes()
